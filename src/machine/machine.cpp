@@ -5,11 +5,16 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 
 #include "obs/metrics.hpp"
 
 namespace pprophet::machine {
+
+namespace {
+constexpr Cycles kNever = std::numeric_limits<Cycles>::max();
+}  // namespace
 
 // ---------------------------------------------------------------------------
 // Internal state structures
@@ -20,7 +25,6 @@ struct Machine::SimThread {
   std::unique_ptr<ThreadBody> body;
   enum class State : std::uint8_t { Ready, Running, Blocked, Exited };
   State state = State::Ready;
-  std::uint64_t generation = 0;  // invalidates OpComplete events
 
   bool has_op = false;  // true while an Exec op is in flight
   Op op;
@@ -38,9 +42,15 @@ struct Machine::SimThread {
 
 struct Machine::Core {
   ThreadId running = kNoThread;
-  std::uint64_t generation = 0;  // invalidates QuantumCheck events
   Cycles dispatched_at = 0;
-  bool quantum_pending = false;
+  /// Op slot: when the running thread's Exec op completes; kNever while the
+  /// core is idle. Rewritten for every core after each handled event.
+  Cycles op_due = kNever;
+  /// Quantum slot: when the armed preemption check falls due, and its
+  /// arming sequence number (0 = not armed). Cleared when the core's thread
+  /// leaves it.
+  Cycles quantum_due = 0;
+  std::uint64_t quantum_seq = 0;
 };
 
 struct Machine::WaitObject {
@@ -120,26 +130,21 @@ void Machine::advance_running_progress() {
 void Machine::update_contention_and_reschedule() {
   cached_dilation_ = bw_.dilation(current_demand());
   for (Core& c : cores_) {
+    c.op_due = kNever;
     if (c.running == kNoThread) continue;
-    SimThread& t = *threads_[c.running];
+    const SimThread& t = *threads_[c.running];
     if (!t.has_op) continue;
     const double remaining =
         t.remaining_compute + cached_dilation_ * t.remaining_mem;
-    ++t.generation;
-    queue_.push(Event{now_ + static_cast<Cycles>(std::ceil(remaining)),
-                      ++event_seq_, Event::Kind::OpComplete, t.id,
-                      t.generation});
+    c.op_due = now_ + static_cast<Cycles>(std::ceil(remaining));
   }
 }
 
 void Machine::schedule_quantum_checks() {
-  for (std::uint32_t i = 0; i < cores_.size(); ++i) {
-    Core& c = cores_[i];
-    if (c.running == kNoThread || c.quantum_pending) continue;
-    c.quantum_pending = true;
-    const Cycles deadline = std::max(now_, c.dispatched_at + cfg_.quantum);
-    queue_.push(Event{deadline, ++event_seq_, Event::Kind::QuantumCheck, i,
-                      c.generation});
+  for (Core& c : cores_) {
+    if (c.running == kNoThread || c.quantum_seq != 0) continue;
+    c.quantum_due = std::max(now_, c.dispatched_at + cfg_.quantum);
+    c.quantum_seq = ++quantum_seq_;
   }
 }
 
@@ -181,8 +186,6 @@ void Machine::dispatch(std::uint32_t core_idx) {
   t.running_since = now_;
   core.running = tid;
   core.dispatched_at = now_;
-  ++core.generation;
-  core.quantum_pending = false;
   if (t.was_preempted) {
     // Re-dispatch cost: kernel path + cache refill, modelled as extra
     // compute prepended to whatever the thread was doing.
@@ -197,33 +200,31 @@ void Machine::dispatch(std::uint32_t core_idx) {
   }
 }
 
-void Machine::block_current(SimThread& t) {
+/// Takes a running thread off its core: closes its run span and disarms
+/// the core's quantum check. The caller sets the thread's new state.
+std::uint32_t Machine::vacate_core(SimThread& t) {
   assert(t.state == SimThread::State::Running);
   if (timeline_ != nullptr) {
     timeline_->record(t.id, t.running_since, now_, TimelineSpan::Kind::Run);
   }
   const std::uint32_t core_idx = t.core;
+  t.core = ~0u;
+  cores_[core_idx].running = kNoThread;
+  cores_[core_idx].quantum_seq = 0;
+  return core_idx;
+}
+
+void Machine::block_current(SimThread& t) {
+  const std::uint32_t core_idx = vacate_core(t);
   t.state = SimThread::State::Blocked;
   t.blocked_since = now_;
-  t.core = ~0u;
-  ++t.generation;  // kill any in-flight completion event
-  cores_[core_idx].running = kNoThread;
-  ++cores_[core_idx].generation;
   dispatch(core_idx);
 }
 
 void Machine::finish_thread(ThreadId tid) {
   SimThread& t = *threads_[tid];
-  assert(t.state == SimThread::State::Running);
-  if (timeline_ != nullptr) {
-    timeline_->record(t.id, t.running_since, now_, TimelineSpan::Kind::Run);
-  }
-  const std::uint32_t core_idx = t.core;
+  const std::uint32_t core_idx = vacate_core(t);
   t.state = SimThread::State::Exited;
-  t.core = ~0u;
-  ++t.generation;
-  cores_[core_idx].running = kNoThread;
-  ++cores_[core_idx].generation;
   // Notify joiners.
   WaitObject& w = waits_[t.exit_evt];
   w.notified = true;
@@ -308,19 +309,12 @@ void Machine::fetch_and_process_ops(ThreadId tid) {
 }
 
 void Machine::preempt(std::uint32_t core_idx) {
-  Core& core = cores_[core_idx];
-  const ThreadId tid = core.running;
+  const ThreadId tid = cores_[core_idx].running;
   assert(tid != kNoThread);
   SimThread& t = *threads_[tid];
-  if (timeline_ != nullptr) {
-    timeline_->record(t.id, t.running_since, now_, TimelineSpan::Kind::Run);
-  }
+  vacate_core(t);
   t.state = SimThread::State::Ready;
   t.was_preempted = true;
-  t.core = ~0u;
-  ++t.generation;
-  core.running = kNoThread;
-  ++core.generation;
   ready_.push_back(tid);
   ++stats_.preemptions;
   dispatch(core_idx);
@@ -338,42 +332,50 @@ MachineStats Machine::run() {
   if (ran_) throw std::logic_error("Machine::run may only be called once");
   ran_ = true;
   update_contention_and_reschedule();
-  while (!queue_.empty()) {
-    const Event e = queue_.top();
-    queue_.pop();
-    assert(e.time >= now_);
-    switch (e.kind) {
-      case Event::Kind::OpComplete: {
-        SimThread& t = *threads_[e.target];
-        if (e.generation != t.generation ||
-            t.state != SimThread::State::Running || !t.has_op) {
-          continue;  // stale
-        }
-        now_ = e.time;
-        advance_running_progress();
-        on_op_complete(e.target);
-        update_contention_and_reschedule();
-        break;
+  while (true) {
+    // The earliest slot; a same-cycle tie goes to a quantum check (lowest
+    // arming sequence first), else to the op slot of the lowest core index.
+    std::uint32_t next = ~0u;
+    bool quantum = false;
+    Cycles due = kNever;
+    std::uint64_t seq = 0;
+    for (std::uint32_t i = 0; i < cores_.size(); ++i) {
+      const Core& c = cores_[i];
+      if (c.quantum_seq != 0 &&
+          (c.quantum_due < due ||
+           (c.quantum_due == due && (!quantum || c.quantum_seq < seq)))) {
+        next = i;
+        quantum = true;
+        due = c.quantum_due;
+        seq = c.quantum_seq;
       }
-      case Event::Kind::QuantumCheck: {
-        Core& core = cores_[e.target];
-        if (e.generation != core.generation) continue;  // stale
-        core.quantum_pending = false;
-        if (core.running == kNoThread) continue;
-        if (ready_.empty()) continue;  // nothing waiting; keep running
-        now_ = e.time;
-        advance_running_progress();
-        preempt(e.target);
-        update_contention_and_reschedule();
-        break;
+      if (c.op_due < due) {
+        next = i;
+        quantum = false;
+        due = c.op_due;
       }
     }
+    if (next == ~0u) break;
+    assert(due >= now_);
+    ++stats_.events;
+    if (quantum) {
+      cores_[next].quantum_seq = 0;
+      if (ready_.empty()) continue;  // nothing waiting; keep running
+      now_ = due;
+      advance_running_progress();
+      preempt(next);
+    } else {
+      now_ = due;
+      advance_running_progress();
+      on_op_complete(cores_[next].running);
+    }
+    update_contention_and_reschedule();
   }
   stats_.finish_time = now_;
   for (const auto& t : threads_) {
     if (t->state != SimThread::State::Exited) {
       throw std::logic_error(
-          "machine: event queue drained with live threads (deadlock: thread " +
+          "machine: no pending events with live threads (deadlock: thread " +
           std::to_string(t->id) + " is stuck)");
     }
   }
@@ -382,6 +384,7 @@ MachineStats Machine::run() {
     // loop itself free of metric updates.
     auto& reg = obs::MetricsRegistry::global();
     reg.counter("machine.runs").add(1);
+    reg.counter("machine.events").add(stats_.events);
     reg.counter("machine.context_switches").add(stats_.context_switches);
     reg.counter("machine.preemptions").add(stats_.preemptions);
     reg.counter("machine.lock_acquisitions").add(stats_.lock_acquisitions);

@@ -20,13 +20,19 @@
 // time. Exec ops take simulated time; Acquire/Release/Wait/Notify are
 // instantaneous control ops (runtime models add explicit Exec overhead ops
 // around them to charge costs).
+//
+// Pending events live in two deadline slots per core rather than a queue:
+// the op slot (when the running thread's Exec op completes, recomputed for
+// every core after each handled event) and the quantum slot (when the armed
+// preemption check falls due). run() takes the earliest slot; same-cycle
+// events go quantum checks first, in arming order, then op completions by
+// core index.
 #pragma once
 
 #include <cstdint>
 #include <deque>
 #include <memory>
 #include <optional>
-#include <queue>
 #include <vector>
 
 #include "machine/bandwidth.hpp"
@@ -122,6 +128,9 @@ struct MachineStats {
   Cycles total_busy = 0;               ///< Σ core busy cycles
   Cycles total_lock_wait = 0;          ///< Σ cycles threads spent blocked on locks
   std::uint64_t spawned_threads = 0;
+  /// Events the loop handled: op completions plus quantum checks (including
+  /// checks that found no waiting thread and left the core running).
+  std::uint64_t events = 0;
 };
 
 /// The discrete-event machine. Typical use:
@@ -166,28 +175,11 @@ class Machine {
   struct WaitObject;
   struct Mutex;
 
-  /// Pending simulator event. `generation` invalidates stale events: each
-  /// thread/core bumps its generation whenever its schedule changes.
-  struct Event {
-    Cycles time = 0;
-    std::uint64_t seq = 0;  // FIFO tie-break for determinism
-    enum class Kind : std::uint8_t { OpComplete, QuantumCheck } kind =
-        Kind::OpComplete;
-    std::uint32_t target = 0;      // thread id or core index
-    std::uint64_t generation = 0;  // must match target's generation
-  };
-  struct EventCmp {
-    bool operator()(const Event& a, const Event& b) const {
-      if (a.time != b.time) return a.time > b.time;  // min-heap
-      return a.seq > b.seq;
-    }
-  };
-
   void make_ready(ThreadId tid);
   void dispatch(std::uint32_t core_idx);
+  std::uint32_t vacate_core(SimThread& t);
   void block_current(SimThread& t);
   void advance_running_progress();
-  void reschedule_running();
   void update_contention_and_reschedule();
   void fetch_and_process_ops(ThreadId tid);
   void finish_thread(ThreadId tid);
@@ -199,7 +191,7 @@ class Machine {
   MachineConfig cfg_;
   BandwidthModel bw_;
   Cycles now_ = 0;
-  std::uint64_t event_seq_ = 0;
+  std::uint64_t quantum_seq_ = 0;  // arming order of quantum checks
   bool ran_ = false;
 
   std::vector<std::unique_ptr<SimThread>> threads_;
@@ -207,7 +199,6 @@ class Machine {
   std::vector<WaitObject> waits_;
   std::vector<Mutex> mutexes_;  // indexed by LockId (grown on demand)
   std::deque<ThreadId> ready_;
-  std::priority_queue<Event, std::vector<Event>, EventCmp> queue_;
 
   MachineStats stats_;
   double cached_dilation_ = 1.0;

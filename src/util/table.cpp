@@ -68,11 +68,8 @@ std::string fmt_i(long long v) {
   char raw[32];
   std::snprintf(raw, sizeof raw, "%lld", v);
   std::string digits = raw;
-  std::string sign;
-  if (!digits.empty() && digits[0] == '-') {
-    sign = "-";
-    digits.erase(digits.begin());
-  }
+  const bool negative = !digits.empty() && digits[0] == '-';
+  if (negative) digits.erase(digits.begin());
   std::string out;
   int since_sep = 0;
   for (auto it = digits.rbegin(); it != digits.rend(); ++it) {
@@ -83,8 +80,9 @@ std::string fmt_i(long long v) {
     out.push_back(*it);
     ++since_sep;
   }
+  if (negative) out.push_back('-');
   std::reverse(out.begin(), out.end());
-  return sign + out;
+  return out;
 }
 
 std::string fmt_bytes(unsigned long long bytes) {

@@ -367,5 +367,98 @@ TEST(Machine, ContentionEndsWhenHeavyThreadFinishes) {
   EXPECT_EQ(t, 12000u);
 }
 
+
+// Same-cycle events are handled in a fixed order: quantum checks before op
+// completions, quantum checks in the order they were armed, op completions
+// by core index. The two tests below make that order observable.
+
+TEST(Machine, SameCycleCompletionsHandOffLockByCoreIndex) {
+  // T0 exits at 40 and T2 takes its core (core 0); T1 runs on core 1. Both
+  // ops end at 100 and race for lock 1: core 0's completion is handled
+  // first, so T2 (the higher thread id) wins the lock.
+  Machine m(cfg(2));
+  Cycles done[3] = {0, 0, 0};
+  auto locker = [&done](int idx, Cycles lead) {
+    return std::make_unique<FuncBody>(
+        [&done, idx, lead, phase = 0](Machine& mm,
+                                      ThreadId) mutable -> std::optional<Op> {
+          switch (phase++) {
+            case 0: return Op::exec(lead);
+            case 1: return Op::acquire(1);
+            case 2: return Op::exec(50);
+            case 3: return Op::release(1);
+            default:
+              done[idx] = mm.now();
+              return std::nullopt;
+          }
+        });
+  };
+  m.spawn_thread(std::make_unique<ScriptBody>(std::vector<Op>{Op::exec(40)}));
+  m.spawn_thread(locker(1, 100));
+  m.spawn_thread(locker(2, 60));
+  const MachineStats s = m.run();
+  EXPECT_EQ(done[2], 150u);
+  EXPECT_EQ(done[1], 200u);
+  EXPECT_EQ(s.lock_contentions, 1u);
+  EXPECT_EQ(s.total_lock_wait, 50u);
+}
+
+TEST(Machine, QuantumCheckBeforeSameCycleCompletion) {
+  // One core, quantum 100: T0's first op ends at 100, exactly when the
+  // quantum check armed for the waiting T1 falls due. The check goes first
+  // and preempts T0 with nothing left to run, so T0 only learns its op is
+  // done when it is dispatched again at 200.
+  Machine m(cfg(1, /*quantum=*/100));
+  Cycles second_op_at = 0;
+  m.spawn_thread(std::make_unique<FuncBody>(
+      [&second_op_at, phase = 0](Machine& mm,
+                                 ThreadId) mutable -> std::optional<Op> {
+        switch (phase++) {
+          case 0: return Op::exec(100);
+          case 1:
+            second_op_at = mm.now();
+            return Op::exec(10);
+          default: return std::nullopt;
+        }
+      }));
+  m.spawn_thread(std::make_unique<ScriptBody>(std::vector<Op>{Op::exec(400)}));
+  const MachineStats s = m.run();
+  EXPECT_EQ(second_op_at, 200u);
+  EXPECT_EQ(s.preemptions, 2u);
+  EXPECT_EQ(s.finish_time, 510u);
+}
+
+
+TEST(Machine, EventsCountCompletionsAndQuantumChecks) {
+  {
+    // One core, quantum 100, two 200-cycle threads: checks at 100, 200, 300
+    // and 400 each preempt (the last two tie with a completion and go
+    // first), then both zero-remaining ops complete at 400.
+    Machine m(cfg(1, /*quantum=*/100));
+    for (int i = 0; i < 2; ++i) {
+      m.spawn_thread(
+          std::make_unique<ScriptBody>(std::vector<Op>{Op::exec(200)}));
+    }
+    const MachineStats s = m.run();
+    EXPECT_EQ(s.preemptions, 4u);
+    EXPECT_EQ(s.finish_time, 400u);
+    EXPECT_EQ(s.events, 6u);
+  }
+  {
+    // The check armed on core 0 for the waiting third thread falls due at
+    // 100, after that thread has already taken core 1 at 50: it fires with
+    // nobody waiting, preempts nothing, and still counts.
+    Machine m(cfg(2, /*quantum=*/100));
+    for (const Cycles len : {1000, 50, 50}) {
+      m.spawn_thread(
+          std::make_unique<ScriptBody>(std::vector<Op>{Op::exec(len)}));
+    }
+    const MachineStats s = m.run();
+    EXPECT_EQ(s.preemptions, 0u);
+    EXPECT_EQ(s.finish_time, 1000u);
+    EXPECT_EQ(s.events, 4u);  // completions at 50, 100, 1000 + the check
+  }
+}
+
 }  // namespace
 }  // namespace pprophet::machine

@@ -50,10 +50,12 @@ if [ ${#sans[@]} -eq 0 ]; then
 fi
 jobs=$(nproc 2>/dev/null || echo 4)
 
+# The tree builds warning-free (-Wall -Wextra); -Werror keeps it that way.
 build_san() {
   local san="$1" bdir="$2"
   echo "=== ${san}: configure + build (${bdir}) ==="
-  cmake -B "${bdir}" -S . -DPPROPHET_SANITIZE="${san}" >/dev/null
+  cmake -B "${bdir}" -S . -DPPROPHET_SANITIZE="${san}" \
+      -DCMAKE_CXX_FLAGS=-Werror >/dev/null
   cmake --build "${bdir}" -j "${jobs}"
 }
 
