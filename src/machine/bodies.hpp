@@ -2,7 +2,10 @@
 // components.
 #pragma once
 
+#include <array>
+#include <cstdint>
 #include <functional>
+#include <stdexcept>
 #include <utility>
 #include <vector>
 
@@ -32,6 +35,33 @@ struct FlatChildWalk {
 
   bool done() const { return cur == stop || cur == tree::kNoNode; }
   void advance(const tree::CompiledTree& ct) { cur = ct.next_sibling(cur); }
+};
+
+/// Inline FIFO for bodies that queue a short burst of ops in one step and
+/// drain it before taking the next: no allocation per thread, and it rewinds
+/// to the front whenever it empties. A step that queues more than kCapacity
+/// ops is a bug in the body and throws.
+class OpQueue {
+ public:
+  static constexpr std::size_t kCapacity = 6;
+
+  bool empty() const { return head_ == size_; }
+
+  void push(const Op& op) {
+    if (size_ == kCapacity) throw std::logic_error("OpQueue overflow");
+    ops_[size_++] = op;
+  }
+
+  Op pop() {
+    const Op op = ops_[head_++];
+    if (head_ == size_) head_ = size_ = 0;
+    return op;
+  }
+
+ private:
+  std::array<Op, kCapacity> ops_{};
+  std::uint8_t head_ = 0;
+  std::uint8_t size_ = 0;
 };
 
 /// Runs a fixed list of ops, then exits.

@@ -163,17 +163,13 @@ class CilkBody final : public machine::ThreadBody {
 
   std::optional<Op> next(Machine& m, ThreadId self) override {
     while (true) {
-      if (!pending_.empty()) {
-        const Op op = pending_.front();
-        pending_.pop_front();
-        return op;
-      }
+      if (!pending_.empty()) return pending_.pop();
       if (stack_.empty()) {
         if (rank_ == 0) {
           // Master done: the program is complete (all syncs resolved).
           rt_.program_done = true;
           if (rt_.idle_evt != 0) {
-            pending_.push_back(Op::notify(rt_.idle_evt));
+            pending_.push(Op::notify(rt_.idle_evt));
             rt_.idle_evt = 0;
             continue;
           }
@@ -215,14 +211,14 @@ class CilkBody final : public machine::ThreadBody {
 
   void add_synth_overhead(Cycles c) {
     if (c == 0) return;
-    pending_.push_back(Op::exec(c));
+    pending_.push(Op::exec(c));
     rt_.track_overhead(rank_, c);
   }
 
   /// Wakes idle workers after pushing items (rotates the idle latch).
   void wake_sleepers() {
     if (rt_.idle_evt != 0) {
-      pending_.push_back(Op::notify(rt_.idle_evt));
+      pending_.push(Op::notify(rt_.idle_evt));
       rt_.idle_evt = 0;
     }
   }
@@ -240,7 +236,7 @@ class CilkBody final : public machine::ThreadBody {
     item.join = join;
     item.leaf = leaf;
     rt_.push_item(rank_, item);
-    pending_.push_back(Op::exec(rt_.cfg.overheads.spawn));
+    pending_.push(Op::exec(rt_.cfg.overheads.spawn));
     wake_sleepers();
     f.open_join = join;
     (void)m;
@@ -269,15 +265,15 @@ class CilkBody final : public machine::ThreadBody {
     switch (view.kind(c)) {
       case NodeKind::U:
         if (rt_.synth()) add_synth_overhead(rt_.mode.synth.access_node);
-        pending_.push_back(f.leaf.leaf_op(view.length(c)));
+        pending_.push(f.leaf.leaf_op(view.length(c)));
         return;
       case NodeKind::L:
         if (rt_.synth()) add_synth_overhead(rt_.mode.synth.access_node);
-        pending_.push_back(Op::exec(ov.lock_acquire));
-        pending_.push_back(Op::acquire(view.lock_id(c)));
-        pending_.push_back(f.leaf.leaf_op(view.length(c)));
-        pending_.push_back(Op::release(view.lock_id(c)));
-        pending_.push_back(Op::exec(ov.lock_release));
+        pending_.push(Op::exec(ov.lock_acquire));
+        pending_.push(Op::acquire(view.lock_id(c)));
+        pending_.push(f.leaf.leaf_op(view.length(c)));
+        pending_.push(Op::release(view.lock_id(c)));
+        pending_.push(Op::exec(ov.lock_release));
         return;
       case NodeKind::Sec: {
         if (rt_.synth()) add_synth_overhead(rt_.mode.synth.recursive_call);
@@ -296,7 +292,7 @@ class CilkBody final : public machine::ThreadBody {
     Join* j = f.item.join;
     assert(j->pending > 0);
     --j->pending;
-    if (j->pending == 0) pending_.push_back(Op::notify(j->evt));
+    if (j->pending == 0) pending_.push(Op::notify(j->evt));
     // Any completion may unblock a syncing worker that found nothing to
     // steal earlier: rotate the idle latch.
     wake_sleepers();
@@ -317,7 +313,7 @@ class CilkBody final : public machine::ThreadBody {
         half.begin = mid;
         ++f.item.join->pending;
         rt_.push_item(rank_, half);
-        pending_.push_back(Op::exec(rt_.cfg.overheads.loop_split));
+        pending_.push(Op::exec(rt_.cfg.overheads.loop_split));
         wake_sleepers();
         f.item.end = mid;
         if (f.cur < f.item.begin) f.cur = f.item.begin;
@@ -345,7 +341,7 @@ class CilkBody final : public machine::ThreadBody {
       return true;
     }
     if (auto stolen = rt_.steal(rank_)) {
-      pending_.push_back(Op::exec(rt_.cfg.overheads.steal));
+      pending_.push(Op::exec(rt_.cfg.overheads.steal));
       ItemFrame f;
       f.item = stolen->first;
       stack_.push_back(f);
@@ -364,7 +360,7 @@ class CilkBody final : public machine::ThreadBody {
     // the join event: new stealable work (pushed by a thief splitting our
     // range) must wake us too, or we would idle while work queues up.
     if (rt_.idle_evt == 0) rt_.idle_evt = m.make_event();
-    pending_.push_back(Op::wait(rt_.idle_evt));
+    pending_.push(Op::wait(rt_.idle_evt));
   }
 
   /// Idle loop for workers with no frames. Returns false to exit.
@@ -373,12 +369,12 @@ class CilkBody final : public machine::ThreadBody {
     if (acquire_work()) return true;
     ++idle_probes_;
     if (idle_probes_ < 2) {
-      pending_.push_back(Op::exec(rt_.cfg.overheads.idle_probe));
+      pending_.push(Op::exec(rt_.cfg.overheads.idle_probe));
       return true;
     }
     idle_probes_ = 0;
     if (rt_.idle_evt == 0) rt_.idle_evt = m.make_event();
-    pending_.push_back(Op::wait(rt_.idle_evt));
+    pending_.push(Op::wait(rt_.idle_evt));
     return true;
   }
 
@@ -396,7 +392,7 @@ class CilkBody final : public machine::ThreadBody {
   CilkRuntime<View>& rt_;
   std::uint32_t rank_;
   std::vector<Frame> stack_;
-  std::deque<Op> pending_;
+  machine::OpQueue pending_;
   int idle_probes_ = 0;
 };
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <deque>
 #include <memory>
 #include <stdexcept>
 #include <variant>
@@ -121,11 +120,7 @@ class OmpBody final : public machine::ThreadBody {
 
   std::optional<Op> next(Machine& m, ThreadId self) override {
     while (true) {
-      if (!pending_.empty()) {
-        const Op op = pending_.front();
-        pending_.pop_front();
-        return op;
-      }
+      if (!pending_.empty()) return pending_.pop();
       if (stack_.empty()) return std::nullopt;
       step(m, self);
     }
@@ -157,7 +152,7 @@ class OmpBody final : public machine::ThreadBody {
 
   void add_synth_overhead(ThreadId self, Cycles c) {
     if (c == 0) return;
-    pending_.push_back(Op::exec(c));
+    pending_.push(Op::exec(c));
     rt_.track_overhead(self, c);
   }
 
@@ -178,15 +173,15 @@ class OmpBody final : public machine::ThreadBody {
     switch (view.kind(c)) {
       case NodeKind::U:
         if (rt_.synth()) add_synth_overhead(self, rt_.mode.synth.access_node);
-        pending_.push_back(f.leaf.leaf_op(view.length(c)));
+        pending_.push(f.leaf.leaf_op(view.length(c)));
         return;
       case NodeKind::L:
         if (rt_.synth()) add_synth_overhead(self, rt_.mode.synth.access_node);
-        pending_.push_back(Op::exec(ov.lock_acquire));
-        pending_.push_back(Op::acquire(view.lock_id(c)));
-        pending_.push_back(f.leaf.leaf_op(view.length(c)));
-        pending_.push_back(Op::release(view.lock_id(c)));
-        pending_.push_back(Op::exec(ov.lock_release));
+        pending_.push(Op::exec(ov.lock_acquire));
+        pending_.push(Op::acquire(view.lock_id(c)));
+        pending_.push(f.leaf.leaf_op(view.length(c)));
+        pending_.push(Op::release(view.lock_id(c)));
+        pending_.push(Op::exec(ov.lock_release));
         return;
       case NodeKind::Sec: {
         if (rt_.synth()) {
@@ -195,7 +190,7 @@ class OmpBody final : public machine::ThreadBody {
         const LeafCostModel leaf =
             f.top_level ? rt_.top_level_leaf(c) : f.leaf;
         TeamContext<View>* team = rt_.open_team(m, c, leaf);
-        pending_.push_back(Op::exec(
+        pending_.push(Op::exec(
             ov.fork_base + ov.fork_per_thread * (rt_.cfg.num_threads - 1)));
         for (std::uint32_t r = 1; r < rt_.cfg.num_threads; ++r) {
           m.spawn_thread(std::make_unique<OmpBody>(rt_, team, r));
@@ -229,16 +224,16 @@ class OmpBody final : public machine::ThreadBody {
         f.range = *r;
         f.next_iter = r->begin;
         f.range_active = true;
-        pending_.push_back(Op::exec(rt_.dispatch_cost()));
+        pending_.push(Op::exec(rt_.dispatch_cost()));
         return;
       }
       case TeamFrame::Phase::Arrive: {
         ++team.arrivals;
         const bool last = team.arrivals == team.size;
-        if (last) pending_.push_back(Op::notify(team.done));
+        if (last) pending_.push(Op::notify(team.done));
         if (view.barrier_at_end(team.sec)) {
-          pending_.push_back(Op::exec(rt_.cfg.overheads.join_barrier));
-          pending_.push_back(Op::wait(team.done));
+          pending_.push(Op::exec(rt_.cfg.overheads.join_barrier));
+          pending_.push(Op::wait(team.done));
         }
         // nowait: nobody blocks; stragglers just finish on their own.
         f.phase = TeamFrame::Phase::Done;
@@ -262,7 +257,7 @@ class OmpBody final : public machine::ThreadBody {
 
   OmpRuntime<View>& rt_;
   std::vector<Frame> stack_;
-  std::deque<Op> pending_;
+  machine::OpQueue pending_;
 };
 
 template <class View>
