@@ -382,12 +382,11 @@ TEST(OmpExecutor, MoreThreadsThanCoresStillCorrectTotalWork) {
   b.begin_task("t").u(1000).end_task().repeat_last(16);
   b.end_sec();
   const ProgramTree t = b.finish();
-  // 8 threads on 2 cores: work conserved, elapsed ≈ 16000/2.
+  // 8 threads on 2 cores: work conserved, elapsed exactly 16000/2.
   const RunResult r = run_tree_omp(t, cores(2, 500),
                                    zero_overhead(8, OmpSchedule::StaticCyclic),
                                    ExecMode::real());
-  EXPECT_GE(r.elapsed, 8000u);
-  EXPECT_LE(r.elapsed, 8000u + 200u);  // rounding from preemption
+  EXPECT_EQ(r.elapsed, 8000u);
 }
 
 }  // namespace

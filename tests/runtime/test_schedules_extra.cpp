@@ -45,9 +45,7 @@ TEST(ChunkedSchedules, StaticChunk2MatchesHandComputation) {
   const ProgramTree t = ramp_loop(8, 100);
   const RunResult r = run_tree_omp(
       t, cores(2), cfg(2, OmpSchedule::StaticCyclic, 2), ExecMode::real());
-  // ±1 cycle of event rounding at op boundaries.
-  EXPECT_GE(r.elapsed, 2200u);
-  EXPECT_LE(r.elapsed, 2202u);
+  EXPECT_EQ(r.elapsed, 2200u);
 }
 
 TEST(ChunkedSchedules, DynamicChunk2ReducesDispatches) {
