@@ -7,10 +7,16 @@
 //      advertised speedup_after within 1%;
 //   2. cost — the whole advisor (config sweep + profile + edit search)
 //      stays under 3x one un-memoized sweep of the configuration grid,
-//      which is what digest-salted per-section memoization buys.
+//      which is what digest-salted per-section memoization buys. Both
+//      sides are timed on process CPU time (the sweep runs one worker, so
+//      that is this thread's time) and the best of several runs is kept,
+//      so other processes sharing the host do not move the ratio. The
+//      ratio of section emulations is printed beside it: it does not
+//      depend on the host at all.
 // Writes BENCH_advisor.json. PP_SMOKE=1 shrinks the grid for CI.
+#include <time.h>
+
 #include <algorithm>
-#include <chrono>
 #include <fstream>
 #include <iostream>
 #include <memory>
@@ -33,10 +39,11 @@ using namespace pprophet;
 
 namespace {
 
-double ms_since(std::chrono::steady_clock::time_point t0) {
-  return std::chrono::duration<double, std::milli>(
-             std::chrono::steady_clock::now() - t0)
-      .count();
+double cpu_ms() {
+  timespec ts{};
+  clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
+  return static_cast<double>(ts.tv_sec) * 1e3 +
+         static_cast<double>(ts.tv_nsec) / 1e6;
 }
 
 }  // namespace
@@ -44,7 +51,7 @@ double ms_since(std::chrono::steady_clock::time_point t0) {
 int main() {
   const long seed = util::env_long("PP_SEED", 2012);
   const bool smoke = util::env_long("PP_SMOKE", 0) != 0;
-  const long samples = util::env_long("PP_SAMPLES", smoke ? 1 : 3);
+  const long samples = util::env_long("PP_SAMPLES", smoke ? 5 : 3);
   report::print_header(
       std::cout, "What-if advisor — edit search vs un-memoized sweeps "
                  "(PP_SEED=" + std::to_string(seed) + ", best of " +
@@ -81,9 +88,9 @@ int main() {
   core::Advice advice;
   double advise_ms = 0.0;
   for (long s = 0; s < samples; ++s) {
-    const auto t0 = std::chrono::steady_clock::now();
+    const double t0 = cpu_ms();
     advice = core::advise(compiled, ao);
-    const double ms = ms_since(t0);
+    const double ms = cpu_ms() - t0;
     if (s == 0 || ms < advise_ms) advise_ms = ms;
   }
 
@@ -95,7 +102,7 @@ int main() {
   double unmemo_ms = 0.0;
   for (long s = 0; s < samples; ++s) {
     grid_points = 0;
-    const auto t0 = std::chrono::steady_clock::now();
+    const double t0 = cpu_ms();
     for (const core::Paradigm p : ao.grid.paradigms) {
       const std::size_t nsched =
           p == core::Paradigm::CilkPlus ? 1 : ao.grid.schedules.size();
@@ -110,7 +117,7 @@ int main() {
         }
       }
     }
-    const double ms = ms_since(t0);
+    const double ms = cpu_ms() - t0;
     if (s == 0 || ms < unmemo_ms) unmemo_ms = ms;
   }
 
@@ -144,14 +151,21 @@ int main() {
           : static_cast<double>(advice.stats.cache_hits) /
                 static_cast<double>(advice.stats.section_lookups);
   const double sweeps_equiv = unmemo_ms > 0.0 ? advise_ms / unmemo_ms : 0.0;
+  // The un-memoized sweep emulates every top-level section at every point.
+  const std::size_t unmemo_evals = grid_points * compiled.section_count();
+  const double evals_equiv =
+      unmemo_evals == 0 ? 0.0
+                        : static_cast<double>(advice.stats.section_evals) /
+                              static_cast<double>(unmemo_evals);
 
-  util::Table table({"stage", "wall ms", "notes"});
+  util::Table table({"stage", "CPU ms", "notes"});
   table.add_row({"advise (sweep+profile+edits)", util::fmt_f(advise_ms, 2),
                  std::to_string(advice.actions.size()) + " actions"});
   table.add_row({"un-memoized config sweep", util::fmt_f(unmemo_ms, 2),
                  std::to_string(grid_points) + " points"});
   table.add_row({"advisor cost in sweeps", util::fmt_f(sweeps_equiv, 2),
-                 "gate: < 3"});
+                 "gate: < 3; section evals " + util::fmt_f(evals_equiv, 2) +
+                     "x the sweep's"});
   table.add_row({"memo hit rate", util::fmt_pct(hit_rate),
                  std::to_string(advice.stats.section_evals) + " evals / " +
                      std::to_string(advice.stats.section_lookups) +
@@ -173,6 +187,7 @@ int main() {
   out.set("advise_ms", serve::JsonValue(advise_ms));
   out.set("unmemoized_sweep_ms", serve::JsonValue(unmemo_ms));
   out.set("advise_cost_in_sweeps", serve::JsonValue(sweeps_equiv));
+  out.set("advise_evals_in_sweeps", serve::JsonValue(evals_equiv));
   out.set("memo_hit_rate", serve::JsonValue(hit_rate));
   out.set("section_lookups", serve::JsonValue(static_cast<std::uint64_t>(
                                  advice.stats.section_lookups)));

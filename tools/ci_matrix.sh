@@ -26,6 +26,10 @@
 #   - `ctest -L advisor -LE perf` — the what-if advisor (docs/ADVISOR.md):
 #     compiled-vs-pointer edit differentials, the Advice API, and the
 #     action-soundness property suite.
+#   - `ctest -L des` — the discrete-event machine and the runtime models
+#     on it (docs/INTERNALS.md): fixed-point progress accounting, the
+#     golden event-order digests, the bodies' inline op queues and the
+#     by-value thread storage that reentrant spawns grow.
 #
 # `thread` is also accepted (README documents the TSan + `-L concurrency`
 # combination) but is not in the default set: TSan roughly 10x-es the
@@ -100,6 +104,11 @@ for san in "${sans[@]}"; do
   # code worth a sanitizer pass. (-LE perf: bench_advisor, which carries
   # both labels, already gated soundness + memo cost in the perf stage.)
   ctest --test-dir "${bdir}" -L advisor -LE perf --output-on-failure
+  echo "=== ${san}: des label ==="
+  # A body's next() spawns threads while the machine is stepping another
+  # one, and each body drains a fixed inline op queue: the out-of-bounds
+  # and use-after-move bugs ASan exists for.
+  ctest --test-dir "${bdir}" -L des --output-on-failure
 done
 
 # The epoll reactor under real concurrency: both transports, dozens of
