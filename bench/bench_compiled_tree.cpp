@@ -4,12 +4,9 @@
 // predict_section_cycles(const tree::Node&), and the flat tree::CompiledTree
 // path (compile once, then core::predict over the arrays for every point).
 // Every cell is checked bit-identical; the binary exits nonzero on any
-// mismatch, so it doubles as a ctest (label: perf). A second comparison
-// times the sweep engine's scalar vs batched evaluation paths
-// (core::EnginePath) over the FF+Suitability slice — the methods with
-// batched evaluators — and gates their bit-identity too. Writes the
-// measured wall times and speedups to BENCH_compiled.json. PP_SMOKE=1
-// shrinks the grid for fast CI identity runs.
+// mismatch, so it doubles as a ctest (label: perf). Writes the measured
+// wall times and speedups to BENCH_compiled.json. PP_SMOKE=1 shrinks the
+// grid for fast CI identity runs.
 #include <chrono>
 #include <fstream>
 #include <iostream>
@@ -192,52 +189,6 @@ int main() {
     for (const auto& c : res.cells) sweep_cells.push_back(c.estimate);
   }
 
-  // Batched vs scalar engine path, measured where the batched evaluators
-  // exist: FF and Suitability sub-problems. SYN/Real replay the vCPU
-  // identically on both paths, so including them would only dilute the
-  // number. One worker, so this is a pure per-eval cost comparison; the
-  // identity of the two runs is part of the exit gate below.
-  core::SweepGrid egrid = grid;
-  egrid.methods = {core::Method::FastForward, core::Method::Suitability};
-  const std::vector<core::SweepPoint> epoints = egrid.points();
-  double scalar_ms = 0.0;
-  double batched_ms = 0.0;
-  std::size_t batched_blocks = 0;
-  std::size_t batched_pts = 0;
-  std::vector<core::SpeedupEstimate> scalar_cells, batched_cells;
-  for (long s = 0; s < samples; ++s) {
-    core::SweepOptions sopts;
-    sopts.workers = 1;
-
-    egrid.base.engine_path = core::EnginePath::Scalar;
-    auto t0 = std::chrono::steady_clock::now();
-    const core::SweepResult rs = core::sweep(t, egrid, sopts);
-    const double sms = ms_since(t0);
-    if (s == 0 || sms < scalar_ms) scalar_ms = sms;
-
-    egrid.base.engine_path = core::EnginePath::Batched;
-    t0 = std::chrono::steady_clock::now();
-    const core::SweepResult rb = core::sweep(t, egrid, sopts);
-    const double bms = ms_since(t0);
-    if (s == 0 || bms < batched_ms) batched_ms = bms;
-
-    batched_blocks = rb.stats.batched_blocks;
-    batched_pts = rb.stats.batched_points;
-    scalar_cells.clear();
-    batched_cells.clear();
-    for (const auto& c : rs.cells) scalar_cells.push_back(c.estimate);
-    for (const auto& c : rb.cells) batched_cells.push_back(c.estimate);
-  }
-  std::size_t engine_mismatches = 0;
-  for (std::size_t i = 0; i < epoints.size(); ++i) {
-    const auto& a = scalar_cells[i];
-    const auto& b = batched_cells[i];
-    if (a.speedup != b.speedup || a.parallel_cycles != b.parallel_cycles ||
-        a.serial_cycles != b.serial_cycles) {
-      ++engine_mismatches;
-    }
-  }
-
   std::size_t mismatches = 0;
   for (std::size_t i = 0; i < points.size(); ++i) {
     const auto& a = reference[i];
@@ -273,19 +224,6 @@ int main() {
   std::cout << "all " << points.size() << " cells bit-identical to pointer "
             << "path: " << (mismatches == 0 ? "yes" : "NO — BUG") << "\n";
 
-  const double batched_speedup =
-      batched_ms > 0.0 ? scalar_ms / batched_ms : 0.0;
-  util::Table etable({"engine path (FF+Suit grid)", "wall ms", "speedup"});
-  etable.add_row({"scalar", util::fmt_f(scalar_ms, 2), "1.00x"});
-  etable.add_row({"batched (" + std::to_string(batched_blocks) + " blocks, " +
-                      std::to_string(batched_pts) + " points)",
-                  util::fmt_f(batched_ms, 2),
-                  util::fmt_f(batched_speedup, 2) + "x"});
-  etable.print(std::cout);
-  std::cout << "all " << epoints.size() << " cells bit-identical between "
-            << "engine paths: " << (engine_mismatches == 0 ? "yes" : "NO — BUG")
-            << "\n";
-
   serve::JsonValue out;
   out.set("bench", serve::JsonValue("compiled_tree"));
   out.set("seed", serve::JsonValue(static_cast<std::int64_t>(seed)));
@@ -300,15 +238,6 @@ int main() {
   out.set("speedup", serve::JsonValue(speedup));
   out.set("sweep_ms", serve::JsonValue(sweep_ms));
   out.set("sweep_speedup", serve::JsonValue(sweep_speedup));
-  out.set("emul_grid_points", serve::JsonValue(
-                                  static_cast<std::uint64_t>(epoints.size())));
-  out.set("sweep_scalar_ms", serve::JsonValue(scalar_ms));
-  out.set("sweep_batched_ms", serve::JsonValue(batched_ms));
-  out.set("batched_speedup", serve::JsonValue(batched_speedup));
-  out.set("batched_blocks", serve::JsonValue(
-                                static_cast<std::uint64_t>(batched_blocks)));
-  out.set("batched_points", serve::JsonValue(
-                                static_cast<std::uint64_t>(batched_pts)));
   {
     serve::JsonValue::Object per_method;
     for (const core::Method m :
@@ -324,7 +253,6 @@ int main() {
     out.set("per_method", serve::JsonValue(std::move(per_method)));
   }
   out.set("identical", serve::JsonValue(mismatches == 0));
-  out.set("engine_identical", serve::JsonValue(engine_mismatches == 0));
   std::ofstream f("BENCH_compiled.json");
   f << serve::json_dump(out) << "\n";
   f.close();
@@ -333,11 +261,6 @@ int main() {
   if (mismatches > 0) {
     std::cerr << "FAIL: " << mismatches
               << " cells differed between the pointer and compiled paths\n";
-    return 1;
-  }
-  if (engine_mismatches > 0) {
-    std::cerr << "FAIL: " << engine_mismatches
-              << " cells differed between the scalar and batched engines\n";
     return 1;
   }
   return 0;

@@ -4,8 +4,7 @@
 // PP_REQS requests drawn from a small sweep-request mix so the result cache
 // sees both cold misses and steady-state hits. Reports throughput and
 // latency percentiles per transport, writes BENCH_serve.json (including the
-// server-side per-stage breakdown and the frozen thread-per-connection
-// baseline this epoll reactor replaced), and self-checks every response
+// server-side per-stage breakdown), and self-checks every response
 // against an in-process core::sweep over the same tree — exiting nonzero on
 // any mismatch, so it doubles as a ctest.
 //
@@ -40,18 +39,6 @@
 using namespace pprophet;
 
 namespace {
-
-// The thread-per-connection implementation this reactor replaced, measured
-// on this harness at 128 clients / 4 serve workers / 8 requests per client.
-// Kept in BENCH_serve.json so the regression is visible without digging
-// through git history; only comparable when the run uses the same shape.
-constexpr double kBaselineRps = 5755.9;
-constexpr double kBaselineP50Ms = 14.272;
-constexpr double kBaselineP90Ms = 18.560;
-constexpr double kBaselineP99Ms = 55.040;
-constexpr long kBaselineClients = 128;
-constexpr long kBaselineWorkers = 4;
-constexpr long kBaselineReqs = 8;
 
 struct RequestKind {
   const char* label;
@@ -300,8 +287,6 @@ int main() {
                     expected),
   };
 
-  const bool comparable = clients == kBaselineClients &&
-                          workers == kBaselineWorkers && reqs == kBaselineReqs;
   util::Table table({"transport", "requests", "req/s", "p50 ms", "p90 ms",
                      "p99 ms", "cache hit", "mismatches"});
   for (const TransportResult& r : runs) {
@@ -311,21 +296,7 @@ int main() {
                    util::fmt_pct(r.stats.cache.hit_rate()),
                    std::to_string(r.mismatches)});
   }
-  if (comparable) {
-    table.add_row({"(baseline thread-per-conn, unix)",
-                   std::to_string(kBaselineClients * kBaselineReqs),
-                   util::fmt_f(kBaselineRps, 1),
-                   util::fmt_f(kBaselineP50Ms, 3),
-                   util::fmt_f(kBaselineP90Ms, 3),
-                   util::fmt_f(kBaselineP99Ms, 3), "-", "-"});
-  }
   table.print(std::cout);
-  if (comparable) {
-    std::cout << "reactor vs thread-per-conn baseline (unix): "
-              << util::fmt_f(runs[0].rps / kBaselineRps, 2) << "x req/s, p99 "
-              << util::fmt_f(runs[0].p99_ms, 3) << " ms vs "
-              << util::fmt_f(kBaselineP99Ms, 3) << " ms\n";
-  }
 
   serve::JsonValue out;
   out.set("bench", serve::JsonValue("serve_throughput"));
@@ -336,18 +307,6 @@ int main() {
   for (const TransportResult& r : runs) {
     out.set(r.name, transport_json(r));
   }
-  serve::JsonValue baseline;
-  baseline.set("implementation",
-               serve::JsonValue("thread-per-connection (pre-reactor)"));
-  baseline.set("clients", serve::JsonValue(kBaselineClients));
-  baseline.set("serve_workers", serve::JsonValue(kBaselineWorkers));
-  baseline.set("requests_per_client", serve::JsonValue(kBaselineReqs));
-  baseline.set("throughput_rps", serve::JsonValue(kBaselineRps));
-  baseline.set("p50_ms", serve::JsonValue(kBaselineP50Ms));
-  baseline.set("p90_ms", serve::JsonValue(kBaselineP90Ms));
-  baseline.set("p99_ms", serve::JsonValue(kBaselineP99Ms));
-  baseline.set("comparable_to_this_run", serve::JsonValue(comparable));
-  out.set("baseline_thread_per_conn", std::move(baseline));
   std::ofstream f("BENCH_serve.json");
   f << serve::json_dump(out) << "\n";
   f.close();

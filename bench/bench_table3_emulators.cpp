@@ -1,8 +1,12 @@
 // Table III reproduction: FF vs synthesizer comparison — per-estimate
-// emulation cost (wall time here, where the paper reports slowdown factors
-// on its machine), accuracy against ground truth, and the regimes where
-// each wins. Run on a batch of Test1 (flat) and Test2 (nested) samples.
-#include <chrono>
+// emulation cost (process CPU time here, where the paper reports slowdown
+// factors on its machine), accuracy against ground truth, and the regimes
+// where each wins. Run on a batch of Test1 (flat) and Test2 (nested)
+// samples. Each estimate batch is timed on process CPU time (a one-point
+// sweep runs on the calling thread) and the best of kPasses passes is
+// kept, so other processes sharing the host do not move the cost rows.
+#include <time.h>
+
 #include <iostream>
 
 #include "core/sweep.hpp"
@@ -16,9 +20,13 @@ using namespace pprophet;
 
 namespace {
 
-double seconds_since(std::chrono::steady_clock::time_point t0) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-      .count();
+constexpr int kPasses = 5;
+
+double cpu_ms() {
+  timespec ts{};
+  clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
+  return static_cast<double>(ts.tv_sec) * 1e3 +
+         static_cast<double>(ts.tv_nsec) / 1e6;
 }
 
 }  // namespace
@@ -28,7 +36,9 @@ int main() {
   report::print_header(std::cout,
                        "Table III — FF vs synthesizer: accuracy and "
                        "per-estimate cost (" + std::to_string(samples) +
-                       " samples each; PP_SAMPLES to change)");
+                       " samples each, CPU time best of " +
+                       std::to_string(kPasses) +
+                       " passes; PP_SAMPLES to change)");
 
   for (const bool nested : {false, true}) {
     util::Xoshiro256 rng(nested ? 77 : 33);
@@ -46,21 +56,27 @@ int main() {
                        "paper note"});
     for (const core::Method m : {core::Method::FastForward,
                                  core::Method::Synthesizer}) {
-      // Per-tree estimates run through the batched sweep engine — a
-      // one-point sweep is bit-identical to core::predict (see
+      // Per-tree estimates run through the sweep engine — a one-point
+      // sweep is bit-identical to core::predict (see
       // tests/core/test_sweep.cpp), so the timing it reports is the
       // engine's own per-estimate cost.
       core::SweepPoint point;
       point.method = m;
       point.threads = 8;
       std::vector<double> pred;
-      const auto t0 = std::chrono::steady_clock::now();
-      for (const auto& t : trees) {
-        pred.push_back(core::sweep_points(t, {&point, 1}, o)
-                           .cells.front()
-                           .estimate.speedup);
+      double best_ms = 0.0;
+      for (int pass = 0; pass < kPasses; ++pass) {
+        pred.clear();
+        const double t0 = cpu_ms();
+        for (const auto& t : trees) {
+          pred.push_back(core::sweep_points(t, {&point, 1}, o)
+                             .cells.front()
+                             .estimate.speedup);
+        }
+        const double ms = cpu_ms() - t0;
+        if (pass == 0 || ms < best_ms) best_ms = ms;
       }
-      const double secs = seconds_since(t0) / static_cast<double>(samples);
+      const double secs = best_ms / 1000.0 / static_cast<double>(samples);
       const util::ErrorStats es = util::error_stats(pred, real);
       table.add_row(
           {core::to_string(m), util::fmt_pct(es.mean_error),

@@ -41,7 +41,6 @@ constexpr const char* kUsage = R"(usage:
                     [--paradigm omp|cilk] [--schedule static|static1|dynamic|guided]
                     [--chunk N] [--threads 2,4,8] [--cores N]
                     [--machine PRESET] [--memory-model] [--csv FILE]
-                    [--engine-path auto|scalar|batched]
   pprophet inspect  --tree FILE
   pprophet compress --tree FILE -o FILE [--tolerance 0.05] [--lossy]
   pprophet recommend --tree FILE [--threads 2,4,8] [--cores N]
@@ -55,7 +54,6 @@ constexpr const char* kUsage = R"(usage:
                     [--chunks 1,4] [--threads 2,4,8] [--cores N]
                     [--machines westmere,skylake,...] [--memory-model]
                     [--workers N] [--csv FILE]
-                    [--engine-path auto|scalar|batched]
   pprophet serve    --socket PATH [--listen HOST:PORT] [--serve-workers N]
                     [--queue-limit N] [--cache-mb N] [--workers N] [--cores N]
                     [--log FILE] [--slow-ms N] [--log-sample N]
@@ -101,21 +99,6 @@ bool parse_list(const std::string& v, std::vector<T>& out, ParseOne one) {
 bool parse_chunk(const std::string& v, std::uint64_t& out) {
   out = std::strtoull(v.c_str(), nullptr, 10);
   return out != 0;
-}
-
-// Spellings match core::to_string(EnginePath) so `--engine-path $(reported)`
-// round-trips.
-bool parse_engine_path(const std::string& v, core::EnginePath& out) {
-  if (v == "auto") {
-    out = core::EnginePath::Auto;
-  } else if (v == "scalar") {
-    out = core::EnginePath::Scalar;
-  } else if (v == "batched") {
-    out = core::EnginePath::Batched;
-  } else {
-    return false;
-  }
-  return true;
 }
 
 bool parse_threads(const std::string& v, std::vector<CoreCount>& out) {
@@ -178,7 +161,6 @@ int cmd_predict(const Options& opts, std::ostream& out, std::ostream& err) {
   po.chunk = opts.chunk;
   po.machine.cores = opts.cores;
   po.memory_model = opts.memory_model;
-  po.engine_path = opts.engine_path;
   if (!opts.machine.empty()) {
     // Price the tree on a named preset: the preset is the whole machine
     // (cores included), and sections carrying reuse profiles get their
@@ -249,9 +231,9 @@ int cmd_predict(const Options& opts, std::ostream& out, std::ostream& err) {
   return 0;
 }
 
-// Batched what-if sweep over (method × paradigm × schedule × chunk ×
-// threads) through the memoizing engine (core/sweep.hpp), with the cache
-// hit-rate and wall-clock reported so the batching win is visible.
+// What-if sweep over (method × paradigm × schedule × chunk × threads)
+// through the deduplicating engine (core/sweep.hpp), with the memo hit-rate
+// and wall-clock reported so the sharing is visible.
 int cmd_sweep(const Options& opts, std::ostream& out, std::ostream& err) {
   auto t = load_tree(opts.tree_path, err);
   if (!t) return 1;
@@ -272,7 +254,6 @@ int cmd_sweep(const Options& opts, std::ostream& out, std::ostream& err) {
   grid.memory_models = {opts.memory_model};
   grid.base = report::paper_options(grid.methods.front());
   grid.base.machine.cores = opts.cores;
-  grid.base.engine_path = opts.engine_path;
 
   core::SweepOptions sopts;
   sopts.workers = opts.workers;
@@ -328,8 +309,6 @@ int cmd_sweep(const Options& opts, std::ostream& out, std::ostream& err) {
     stats.cache_hits += res.stats.cache_hits;
     stats.section_evals += res.stats.section_evals;
     stats.workers = res.stats.workers;
-    stats.batched_blocks += res.stats.batched_blocks;
-    stats.batched_points += res.stats.batched_points;
     stats.wall_ms += res.stats.wall_ms;
     for (const core::SweepCell& c : res.cells) {
       const auto& p = c.point;
@@ -367,8 +346,7 @@ int cmd_sweep(const Options& opts, std::ostream& out, std::ostream& err) {
   } else {
     status << "machine " << opts.cores << " cores";
   }
-  status << ", memory model " << (opts.memory_model ? "on" : "off")
-         << ", engine path " << core::to_string(opts.engine_path) << "\n";
+  status << ", memory model " << (opts.memory_model ? "on" : "off") << "\n";
   if (!csv_stdout) table.print(out);
   const auto& s = stats;
   (csv_selected ? err : out)
@@ -376,9 +354,7 @@ int cmd_sweep(const Options& opts, std::ostream& out, std::ostream& err) {
       << s.section_evals << " of " << s.section_lookups
       << " lookups (memo hit rate " << util::fmt_pct(s.hit_rate()) << "), "
       << s.workers << " worker" << (s.workers == 1 ? "" : "s") << ", "
-      << s.batched_blocks << " batched block"
-      << (s.batched_blocks == 1 ? "" : "s") << " (" << s.batched_points
-      << " points), " << util::fmt_f(s.wall_ms, 1) << " ms\n";
+      << util::fmt_f(s.wall_ms, 1) << " ms\n";
   if (csv_stdout) {
     out << csv.to_string();
   } else if (csv_selected) {
@@ -1093,12 +1069,6 @@ std::optional<Options> parse_args(const std::vector<std::string>& args,
       }
       if (opts.machines.empty()) {
         err << "pprophet: bad --machines (use e.g. westmere,skylake)\n";
-        return std::nullopt;
-      }
-    } else if (a == "--engine-path") {
-      const auto v = need_value();
-      if (!v || !parse_engine_path(*v, opts.engine_path)) {
-        err << "pprophet: bad --engine-path (use auto, scalar or batched)\n";
         return std::nullopt;
       }
     } else if (a == "--workers") {

@@ -4,7 +4,6 @@
 //   pprophet predict  --tree t.ptree [--method syn] [--paradigm omp]
 //                     [--schedule static1] [--chunk 1] [--threads 2,4,8,12]
 //                     [--cores 12] [--memory-model] [--csv out.csv]
-//                     [--engine-path auto|scalar|batched]
 //   pprophet inspect  --tree t.ptree
 //   pprophet compress --tree t.ptree -o out.ptree [--tolerance 0.05] [--lossy]
 //   pprophet recommend --tree t.ptree [--threads 2,4,8] [--cores N]
@@ -16,7 +15,6 @@
 //                     [--paradigms omp,cilk] [--schedules static1,static,dynamic]
 //                     [--chunks 1,4] [--threads 2,4,8] [--cores N]
 //                     [--memory-model] [--workers N] [--csv out.csv]
-//                     [--engine-path auto|scalar|batched]
 //   pprophet serve    --socket /run/pp.sock [--listen HOST:PORT]
 //                     [--serve-workers N] [--queue-limit N] [--cache-mb N]
 //                     [--cores N] [--log FILE] [--slow-ms N] [--log-sample N]
@@ -79,10 +77,6 @@ struct Options {
   /// --machine (predict): single preset overriding the default machine.
   std::string machine;
   std::size_t workers = 0;  ///< sweep worker pool; 0 = hardware concurrency
-  /// --engine-path (predict/sweep): evaluation machinery selector. Auto
-  /// routes sweeps through the batched evaluators and predict through the
-  /// scalar engines; scalar/batched force one path (core/engine_options.hpp).
-  core::EnginePath engine_path = core::EnginePath::Auto;
   // observability (any command)
   bool metrics = false;      ///< --metrics: enable + report the registry
   std::string metrics_path;  ///< --metrics=FILE: render by extension

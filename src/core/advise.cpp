@@ -159,7 +159,7 @@ class Pricer {
 };
 
 // ---------------------------------------------------------------------------
-// Configuration search (the old recommend() sweep, via the batched engine)
+// Configuration search (the old recommend() sweep, via the sweep engine)
 // ---------------------------------------------------------------------------
 
 void check_grid(const GridSpec& grid) {

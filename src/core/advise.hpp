@@ -7,7 +7,7 @@
 //      parallelism ceiling work/span, and lock-serialization shares (which
 //      lock caps which section at what thread count).
 //   2. configuration search — the old recommend() sweep, routed through
-//      core::sweep's memoized batched path and returning ranked Candidates
+//      core::sweep's deduplicating engine and returning ranked Candidates
 //      (core::recommend is now a thin deprecated adapter over this stage).
 //   3. hypothetical-edit search — enumerate tree::TreeEdit candidates
 //      (split tasks K× finer, shrink a lock span, improve a section's

@@ -19,29 +19,6 @@
 
 namespace pprophet::core {
 
-/// Which evaluation machinery serves FF/Suitability predictions.
-///
-///   Auto    — pick per call site: sweeps route through the batched
-///             evaluators (emul::FfSectionBatch), single predict() calls
-///             stay scalar (a one-shot batch build has nothing to amortize).
-///   Scalar  — always the original per-point engines. The reference for
-///             differential testing, and the only path that can record an
-///             execution Timeline.
-///   Batched — always the batched evaluators where they exist (FF and
-///             Suitability sections); Synthesizer/GroundTruth and
-///             timeline-recording predictions fall back to scalar.
-/// Every path is bit-identical (tests/property/test_batched_equivalence.cpp).
-enum class EnginePath : std::uint8_t { Auto, Scalar, Batched };
-
-inline const char* to_string(EnginePath p) {
-  switch (p) {
-    case EnginePath::Auto: return "auto";
-    case EnginePath::Scalar: return "scalar";
-    case EnginePath::Batched: return "batched";
-  }
-  return "?";
-}
-
 struct EngineOptions {
   /// Target machine (its core count is the *physical* core count; the
   /// thread count of a prediction may be lower or higher).
@@ -55,8 +32,6 @@ struct EngineOptions {
   /// memmodel::annotate_burdens). GroundTruth always uses the machine's
   /// dynamic contention instead.
   bool memory_model = false;
-  /// Scalar vs batched evaluation (see EnginePath above).
-  EnginePath engine_path = EnginePath::Auto;
 
   /// The embedded engine configuration, by its explicit name. Prefer this
   /// spelling in new code; the flat member access remains as an alias.

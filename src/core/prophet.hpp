@@ -76,7 +76,7 @@ SpeedupEstimate predict(const tree::CompiledTree& compiled, CoreCount threads,
 /// Projected parallel duration of ONE repetition of the top-level section
 /// `sec` under `options` — the per-section term of the §IV-E composition.
 /// predict() and the sweep engine (core/sweep.hpp) both sum estimates from
-/// this function, which is what makes batched sweeps bit-identical to the
+/// this function, which is what makes sweeps bit-identical to the
 /// sequential path. `sec` must be a Sec node. This overload walks the
 /// pointer tree and is the reference implementation the compiled path is
 /// tested against (tests/tree/test_compile.cpp).

@@ -4,14 +4,11 @@
 #include <atomic>
 #include <chrono>
 #include <exception>
-#include <future>
 #include <mutex>
 #include <stdexcept>
 #include <thread>
 #include <unordered_map>
 
-#include "emul/ff.hpp"
-#include "emul/suitability.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
@@ -95,335 +92,6 @@ PredictOptions options_for(const PredictOptions& base, const SweepPoint& p) {
   return o;
 }
 
-/// Shared memo of per-section emulations. The first worker to request a key
-/// computes it; concurrent requesters block on its future. Values are
-/// computed from the *canonical* point, so the cache contents are
-/// independent of the order in which workers arrive.
-class SectionMemo {
- public:
-  explicit SectionMemo(const PredictOptions& base) : base_(base) {}
-
-  Cycles get(const tree::CompiledTree& ct, std::uint32_t section,
-             const MemoKey& key, const SweepPoint& cpoint) {
-    std::shared_future<Cycles> fut;
-    std::promise<Cycles> prom;
-    bool owner = false;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      ++lookups_;
-      auto [it, inserted] = map_.try_emplace(key);
-      if (inserted) {
-        owner = true;
-        it->second = prom.get_future().share();
-        ++evals_;
-      } else {
-        ++hits_;
-        fut = it->second;
-      }
-    }
-    if (!owner) return fut.get();
-    try {
-      const Cycles v = predict_section_cycles(
-          ct, section, cpoint.threads, options_for(base_, cpoint));
-      prom.set_value(v);
-      return v;
-    } catch (...) {
-      prom.set_exception(std::current_exception());
-      throw;
-    }
-  }
-
-  std::size_t lookups() const { return lookups_; }
-  std::size_t hits() const { return hits_; }
-  std::size_t evals() const { return evals_; }
-
- private:
-  const PredictOptions& base_;
-  std::mutex mu_;
-  std::unordered_map<MemoKey, std::shared_future<Cycles>, MemoKeyHash> map_;
-  std::size_t lookups_ = 0;
-  std::size_t hits_ = 0;
-  std::size_t evals_ = 0;
-};
-
-// ---------------------------------------------------------------------------
-// Batched path: instead of memoizing per-point emulations behind futures,
-// enumerate the unique canonical sub-problems up front, group the FF and
-// Suitability ones into per-section point blocks for the batched evaluators
-// (emul/ff.hpp), and hand workers whole blocks. Every value lands in a
-// pre-assigned slot, so workers share nothing but the job counter; memo
-// statistics (lookups / hits / evals) are computed from the same dedup the
-// scalar path performs, keeping every cross-path stats invariant intact.
-// ---------------------------------------------------------------------------
-
-/// One unit of worker work on the batched path. FF/Suitability jobs carry a
-/// block of grid points against one representative section; methods without
-/// a batched evaluator (Synthesizer, GroundTruth) ride along as single-point
-/// scalar jobs so the whole sweep still drains through one pool.
-struct BatchedJob {
-  Method method = Method::Synthesizer;
-  std::uint32_t section = 0;  ///< representative section for the digest
-  emul::PointBlock block;     ///< FastForward points
-  std::vector<CoreCount> threads;   ///< Suitability points
-  std::vector<std::size_t> slots;   ///< result slot per point
-  SweepPoint cpoint;                ///< scalar jobs: the canonical point
-};
-
-SweepResult sweep_points_batched(const tree::CompiledTree& compiled,
-                                 std::span<const SweepPoint> points,
-                                 const PredictOptions& base,
-                                 const SweepOptions& options) {
-  const auto t0 = std::chrono::steady_clock::now();
-  SweepResult result;
-  result.cells.resize(points.size());
-  result.stats.grid_points = points.size();
-
-  const Cycles serial = compiled.serial_cycles();
-  const Cycles u_cycles = compiled.top_u_cycles();
-  const std::uint32_t nsec = compiled.section_count();
-
-  // 1. Deduplicate (cell × section) into unique canonical sub-problems, in
-  //    first-occurrence order — the same dedup SectionMemo performs, done
-  //    eagerly. Slot indices replace futures.
-  struct SlotInfo {
-    std::uint32_t section = 0;
-    SweepPoint cpoint;
-  };
-  std::unordered_map<MemoKey, std::size_t, MemoKeyHash> slot_of;
-  std::vector<SlotInfo> slot_info;
-  std::vector<std::size_t> cell_slots(points.size() * nsec);
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    const SweepPoint cp = canonical(points[i]);
-    for (std::uint32_t s = 0; s < nsec; ++s) {
-      MemoKey key;
-      key.section_digest = compiled.section_digest(s);
-      key.method = cp.method;
-      key.paradigm = cp.paradigm;
-      key.schedule = cp.schedule;
-      key.chunk = cp.chunk;
-      key.threads = cp.threads;
-      key.memory_model = cp.memory_model;
-      const auto [it, inserted] = slot_of.try_emplace(key, slot_info.size());
-      if (inserted) slot_info.push_back(SlotInfo{s, cp});
-      cell_slots[i * nsec + s] = it->second;
-    }
-  }
-
-  // 2. Group batchable slots into per-(section digest, method) blocks.
-  std::vector<BatchedJob> jobs;
-  std::unordered_map<std::uint64_t, std::size_t> ff_jobs;
-  std::unordered_map<std::uint64_t, std::size_t> suit_jobs;
-  for (std::size_t slot = 0; slot < slot_info.size(); ++slot) {
-    const SlotInfo& info = slot_info[slot];
-    const SweepPoint& cp = info.cpoint;
-    if (cp.method == Method::FastForward ||
-        cp.method == Method::Suitability) {
-      auto& index =
-          cp.method == Method::FastForward ? ff_jobs : suit_jobs;
-      const std::uint64_t digest = compiled.section_digest(info.section);
-      const auto [it, inserted] = index.try_emplace(digest, jobs.size());
-      if (inserted) {
-        jobs.emplace_back();
-        jobs.back().method = cp.method;
-        jobs.back().section = info.section;
-      }
-      BatchedJob& job = jobs[it->second];
-      if (cp.method == Method::FastForward) {
-        emul::BlockPoint p;
-        p.threads = cp.threads;
-        p.schedule = cp.schedule;
-        p.chunk = cp.chunk;
-        p.apply_burden = cp.memory_model;
-        job.block.push_back(p);
-      } else {
-        job.threads.push_back(cp.threads);
-      }
-      job.slots.push_back(slot);
-    } else {
-      jobs.emplace_back();
-      jobs.back().method = cp.method;
-      jobs.back().section = info.section;
-      jobs.back().cpoint = cp;
-      jobs.back().slots.push_back(slot);
-    }
-  }
-
-  // 3. Honor the block-size cap, splitting oversized blocks. Results are
-  //    slot-addressed, so any split is value-preserving.
-  if (options.block_points > 0) {
-    std::vector<BatchedJob> split;
-    for (BatchedJob& job : jobs) {
-      const std::size_t n = job.slots.size();
-      if (n <= options.block_points ||
-          (job.method != Method::FastForward &&
-           job.method != Method::Suitability)) {
-        split.push_back(std::move(job));
-        continue;
-      }
-      for (std::size_t off = 0; off < n; off += options.block_points) {
-        const std::size_t end = std::min(n, off + options.block_points);
-        BatchedJob part;
-        part.method = job.method;
-        part.section = job.section;
-        for (std::size_t k = off; k < end; ++k) {
-          if (job.method == Method::FastForward) {
-            part.block.push_back(job.block.at(k));
-          } else {
-            part.threads.push_back(job.threads[k]);
-          }
-          part.slots.push_back(job.slots[k]);
-        }
-        split.push_back(std::move(part));
-      }
-    }
-    jobs = std::move(split);
-  }
-  for (const BatchedJob& job : jobs) {
-    if (job.method == Method::FastForward ||
-        job.method == Method::Suitability) {
-      ++result.stats.batched_blocks;
-      result.stats.batched_points += job.slots.size();
-    }
-  }
-
-  // 4. Drain jobs through the pool. Each job writes only its own slots.
-  std::vector<Cycles> values(slot_info.size(), 0);
-  const auto run_job = [&](const BatchedJob& job) {
-    if (job.method == Method::FastForward) {
-      emul::FfSectionBatch batch(compiled, job.section, base.omp_overheads);
-      const std::vector<Cycles> out = batch.evaluate_block(job.block);
-      for (std::size_t k = 0; k < out.size(); ++k) {
-        values[job.slots[k]] = out[k];
-      }
-    } else if (job.method == Method::Suitability) {
-      emul::SuitabilitySectionBatch batch(compiled, job.section);
-      const std::vector<Cycles> out = batch.evaluate_block(job.threads);
-      for (std::size_t k = 0; k < out.size(); ++k) {
-        values[job.slots[k]] = out[k];
-      }
-    } else {
-      PredictOptions o = options_for(base, job.cpoint);
-      o.engine_path = EnginePath::Scalar;  // no batched evaluator to reach
-      values[job.slots[0]] = predict_section_cycles(
-          compiled, job.section, job.cpoint.threads, o);
-    }
-  };
-
-  // Worker count follows the grid (as on the scalar path, and as asserted
-  // by tests), not the usually-smaller job count.
-  std::size_t workers =
-      options.workers != 0
-          ? options.workers
-          : std::max(1u, std::thread::hardware_concurrency());
-  workers = std::min(workers, points.size());
-
-  const auto note_depth = [&](std::size_t i) {
-    if (obs::enabled()) {
-      static obs::Timer& depth =
-          obs::MetricsRegistry::global().timer("sweep.queue.depth");
-      depth.record(jobs.size() - i);
-    }
-  };
-
-  obs::TraceSink* sink = obs::TraceSink::current();
-  result.stats.worker_wall_ms.assign(std::max<std::size_t>(workers, 1), 0.0);
-  const auto timed = [&](std::size_t w, const auto& body) {
-    const auto w0 = std::chrono::steady_clock::now();
-    const std::uint64_t span_start = sink != nullptr ? sink->now_us() : 0;
-    body();
-    result.stats.worker_wall_ms[w] =
-        std::chrono::duration<double, std::milli>(
-            std::chrono::steady_clock::now() - w0)
-            .count();
-    if (sink != nullptr) {
-      sink->complete("sweep worker " + std::to_string(w), "sweep",
-                     obs::kPidPipeline, static_cast<std::uint32_t>(w + 1),
-                     span_start, sink->now_us() - span_start,
-                     {obs::arg_num("worker", static_cast<std::uint64_t>(w))});
-    }
-  };
-
-  if (workers <= 1) {
-    timed(0, [&] {
-      for (std::size_t i = 0; i < jobs.size(); ++i) {
-        note_depth(i);
-        run_job(jobs[i]);
-      }
-    });
-  } else {
-    std::atomic<std::size_t> next{0};
-    std::mutex err_mu;
-    std::exception_ptr first_error;
-    const auto drain = [&](std::size_t w) {
-      timed(w, [&] {
-        try {
-          for (;;) {
-            const std::size_t i =
-                next.fetch_add(1, std::memory_order_relaxed);
-            if (i >= jobs.size()) return;
-            note_depth(i);
-            run_job(jobs[i]);
-          }
-        } catch (...) {
-          std::lock_guard<std::mutex> lock(err_mu);
-          if (!first_error) first_error = std::current_exception();
-        }
-      });
-    };
-    std::vector<std::thread> pool;
-    pool.reserve(workers);
-    for (std::size_t w = 0; w < workers; ++w) pool.emplace_back(drain, w);
-    for (std::thread& th : pool) th.join();
-    if (first_error) std::rethrow_exception(first_error);
-  }
-
-  // 5. Assemble cells from the slot table — the same §IV-E composition the
-  //    scalar path performs per cell.
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    Cycles parallel = u_cycles;
-    for (std::uint32_t s = 0; s < nsec; ++s) {
-      parallel += values[cell_slots[i * nsec + s]] *
-                  compiled.repeat(compiled.section_node(s));
-    }
-    SweepCell& cell = result.cells[i];
-    cell.point = points[i];
-    cell.estimate.threads = points[i].threads;
-    cell.estimate.serial_cycles = serial;
-    cell.estimate.parallel_cycles = parallel == 0 ? 1 : parallel;
-    cell.estimate.speedup =
-        static_cast<double>(cell.estimate.serial_cycles) /
-        static_cast<double>(cell.estimate.parallel_cycles);
-  }
-
-  // The scalar path's memo counters, computed from the same dedup: every
-  // (cell × section) pair is a lookup; unique sub-problems are evals.
-  result.stats.section_lookups = points.size() * nsec;
-  result.stats.section_evals = slot_info.size();
-  result.stats.cache_hits =
-      result.stats.section_lookups - result.stats.section_evals;
-  result.stats.workers = workers;
-  result.stats.wall_ms = std::chrono::duration<double, std::milli>(
-                             std::chrono::steady_clock::now() - t0)
-                             .count();
-  if (obs::enabled()) {
-    auto& reg = obs::MetricsRegistry::global();
-    reg.counter("sweep.runs").add(1);
-    reg.counter("sweep.grid_points").add(result.stats.grid_points);
-    reg.counter("sweep.memo.lookups").add(result.stats.section_lookups);
-    reg.counter("sweep.memo.hits").add(result.stats.cache_hits);
-    reg.counter("sweep.memo.evals").add(result.stats.section_evals);
-    reg.counter("sweep.batched.blocks").add(result.stats.batched_blocks);
-    reg.counter("sweep.batched.points").add(result.stats.batched_points);
-    reg.gauge("sweep.workers").set(static_cast<double>(workers));
-    reg.gauge("sweep.wall_ms").set(result.stats.wall_ms);
-    auto& wt = reg.timer("sweep.worker_wall_us");
-    for (const double ms : result.stats.worker_wall_ms) {
-      wt.record(static_cast<std::uint64_t>(ms * 1000.0));
-    }
-  }
-  return result;
-}
-
 }  // namespace
 
 std::vector<SweepPoint> SweepGrid::points() const {
@@ -474,13 +142,6 @@ SweepResult sweep_points(const tree::CompiledTree& compiled,
     if (p.threads == 0) throw std::invalid_argument("sweep: zero threads");
   }
 
-  // Auto routes sweeps through the batched evaluators — this is the call
-  // site they exist for. Timeline recording forces the scalar engines (the
-  // batched ones coarsen steps and record no spans).
-  if (base.engine_path != EnginePath::Scalar && base.timeline == nullptr) {
-    return sweep_points_batched(compiled, points, base, options);
-  }
-
   const auto t0 = std::chrono::steady_clock::now();
   SweepResult result;
   result.cells.resize(points.size());
@@ -490,13 +151,23 @@ SweepResult sweep_points(const tree::CompiledTree& compiled,
   // top-level U glue: neither depends on the grid point.
   const Cycles serial = compiled.serial_cycles();
   const Cycles u_cycles = compiled.top_u_cycles();
+  const std::uint32_t nsec = compiled.section_count();
 
-  SectionMemo memo(base);
-  const auto evaluate_cell = [&](std::size_t idx) {
-    const SweepPoint& p = points[idx];
-    const SweepPoint cp = canonical(p);
-    Cycles parallel = u_cycles;
-    for (std::uint32_t s = 0; s < compiled.section_count(); ++s) {
+  // 1. Deduplicate (cell × section) into unique canonical sub-problems, in
+  //    first-occurrence order. Each unique slot is one job; every job writes
+  //    only its own pre-assigned value, so workers share nothing but the
+  //    job counter, and a 1-worker sweep emulates each sub-problem in the
+  //    order predict(), called cell by cell, first meets it.
+  struct Job {
+    std::uint32_t section = 0;
+    SweepPoint cpoint;
+  };
+  std::unordered_map<MemoKey, std::size_t, MemoKeyHash> slot_of;
+  std::vector<Job> jobs;
+  std::vector<std::size_t> cell_slots(points.size() * nsec);
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    const SweepPoint cp = canonical(points[i]);
+    for (std::uint32_t s = 0; s < nsec; ++s) {
       MemoKey key;
       key.section_digest = compiled.section_digest(s);
       key.method = cp.method;
@@ -505,31 +176,35 @@ SweepResult sweep_points(const tree::CompiledTree& compiled,
       key.chunk = cp.chunk;
       key.threads = cp.threads;
       key.memory_model = cp.memory_model;
-      parallel += memo.get(compiled, s, key, cp) *
-                  compiled.repeat(compiled.section_node(s));
+      const auto [it, inserted] = slot_of.try_emplace(key, jobs.size());
+      if (inserted) jobs.push_back(Job{s, cp});
+      cell_slots[i * nsec + s] = it->second;
     }
-    SweepCell& cell = result.cells[idx];
-    cell.point = p;
-    cell.estimate.threads = p.threads;
-    cell.estimate.serial_cycles = serial;
-    cell.estimate.parallel_cycles = parallel == 0 ? 1 : parallel;
-    cell.estimate.speedup =
-        static_cast<double>(cell.estimate.serial_cycles) /
-        static_cast<double>(cell.estimate.parallel_cycles);
+  }
+
+  // 2. Drain the jobs through the pool.
+  std::vector<Cycles> values(jobs.size(), 0);
+  const auto run_job = [&](std::size_t i) {
+    const Job& job = jobs[i];
+    values[i] = predict_section_cycles(compiled, job.section,
+                                       job.cpoint.threads,
+                                       options_for(base, job.cpoint));
   };
 
+  // Worker count follows the grid (as asserted by tests), not the
+  // usually-smaller job count.
   std::size_t workers = options.workers != 0
                             ? options.workers
                             : std::max(1u, std::thread::hardware_concurrency());
   workers = std::min(workers, points.size());
 
-  // Remaining-cells sample at each dequeue: the timer's min/mean/max gives
-  // the queue-depth profile over the run (max == grid size at start).
+  // Remaining-jobs sample at each dequeue: the timer's min/mean/max gives
+  // the queue-depth profile over the run (max == job count at start).
   const auto note_depth = [&](std::size_t i) {
     if (obs::enabled()) {
       static obs::Timer& depth =
           obs::MetricsRegistry::global().timer("sweep.queue.depth");
-      depth.record(points.size() - i);
+      depth.record(jobs.size() - i);
     }
   };
 
@@ -555,9 +230,9 @@ SweepResult sweep_points(const tree::CompiledTree& compiled,
 
   if (workers <= 1) {
     timed(0, [&] {
-      for (std::size_t i = 0; i < points.size(); ++i) {
+      for (std::size_t i = 0; i < jobs.size(); ++i) {
         note_depth(i);
-        evaluate_cell(i);
+        run_job(i);
       }
     });
   } else {
@@ -570,9 +245,9 @@ SweepResult sweep_points(const tree::CompiledTree& compiled,
           for (;;) {
             const std::size_t i =
                 next.fetch_add(1, std::memory_order_relaxed);
-            if (i >= points.size()) return;
+            if (i >= jobs.size()) return;
             note_depth(i);
-            evaluate_cell(i);
+            run_job(i);
           }
         } catch (...) {
           std::lock_guard<std::mutex> lock(err_mu);
@@ -587,9 +262,30 @@ SweepResult sweep_points(const tree::CompiledTree& compiled,
     if (first_error) std::rethrow_exception(first_error);
   }
 
-  result.stats.section_lookups = memo.lookups();
-  result.stats.cache_hits = memo.hits();
-  result.stats.section_evals = memo.evals();
+  // 3. Assemble cells from the slot table — the §IV-E composition predict()
+  //    performs.
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    Cycles parallel = u_cycles;
+    for (std::uint32_t s = 0; s < nsec; ++s) {
+      parallel += values[cell_slots[i * nsec + s]] *
+                  compiled.repeat(compiled.section_node(s));
+    }
+    SweepCell& cell = result.cells[i];
+    cell.point = points[i];
+    cell.estimate.threads = points[i].threads;
+    cell.estimate.serial_cycles = serial;
+    cell.estimate.parallel_cycles = parallel == 0 ? 1 : parallel;
+    cell.estimate.speedup =
+        static_cast<double>(cell.estimate.serial_cycles) /
+        static_cast<double>(cell.estimate.parallel_cycles);
+  }
+
+  // Memo counters from the dedup: every (cell × section) pair is a lookup;
+  // unique sub-problems are evals.
+  result.stats.section_lookups = points.size() * nsec;
+  result.stats.section_evals = jobs.size();
+  result.stats.cache_hits =
+      result.stats.section_lookups - result.stats.section_evals;
   result.stats.workers = workers;
   result.stats.wall_ms =
       std::chrono::duration<double, std::milli>(

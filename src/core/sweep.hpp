@@ -1,25 +1,32 @@
-// Batched prediction sweep engine (the what-if grid behind Figures 5/11/12
-// and Tables III/IV): evaluate one ProgramTree over a grid of
+// Prediction sweep engine (the what-if grid behind Figures 5/11/12 and
+// Tables III/IV): evaluate one ProgramTree over a grid of
 // (method × paradigm × schedule × chunk × memory-model × thread-count)
-// points on a worker pool, memoizing per-top-level-section emulations.
+// points on a worker pool, emulating each distinct per-top-level-section
+// sub-problem once.
 //
-// Why memoization works: speedups compose over top-level sections (§IV-E),
-// and a section's emulated duration depends only on a *sub-key* of the grid
-// point — e.g. the FF emulator never reads the paradigm, the Cilk executor
-// never reads the schedule or chunk, the Suitability baseline pins its own
-// schedule and overheads, and GroundTruth ignores the memory-model flag. The
-// engine canonicalizes each point to its sub-key, so a t-thread FF result
-// for a section is computed once and reused by every grid point sharing it.
+// Why deduplication works: speedups compose over top-level sections
+// (§IV-E), and a section's emulated duration depends only on a *sub-key* of
+// the grid point — e.g. the FF emulator never reads the paradigm, the Cilk
+// executor never reads the schedule or chunk, the Suitability baseline pins
+// its own schedule and overheads, and GroundTruth ignores the memory-model
+// flag. The engine canonicalizes each point to its sub-key, so a t-thread FF
+// result for a section is computed once and reused by every grid point
+// sharing it.
 //
 // The tree is compiled once (tree::CompiledTree) and every emulation runs
-// over the flat arrays. Memo entries are keyed by the compiled *section
+// over the flat arrays. Sub-problems are keyed by the compiled *section
 // digest* rather than the section's position, so two structurally identical
 // sections in one tree share their emulations too (docs/SWEEP.md).
 //
-// Determinism: every cell is the sum of independently memoized per-section
-// integer cycle counts plus the (shared) serial denominator — exactly how
-// core::predict composes them — so results are bit-identical to a fresh
-// sequential predict() call for every cell, at any worker count.
+// Dispatch: the (cell × section) pairs are deduplicated up front, in
+// first-occurrence order, into one job per unique sub-problem; the pool
+// drains the jobs, each priced by core::predict_section_cycles into its own
+// slot, and the cells are then summed from the slots.
+//
+// Determinism: every cell is the sum of per-section integer cycle counts
+// plus the (shared) serial denominator — exactly how core::predict composes
+// them — so results are bit-identical to a fresh sequential predict() call
+// for every cell, at any worker count.
 #pragma once
 
 #include <cstddef>
@@ -81,13 +88,9 @@ struct SweepStats {
   std::size_t cache_hits = 0;       ///< lookups served from the memo
   std::size_t section_evals = 0;    ///< unique sub-problems actually emulated
   std::size_t workers = 0;
-  /// Batched-path accounting (zero on the scalar path): point blocks
-  /// dispatched to the batched evaluators and the grid points they carried.
-  std::size_t batched_blocks = 0;
-  std::size_t batched_points = 0;
   double wall_ms = 0.0;
-  /// Wall time each pool worker spent draining cells (one entry per worker,
-  /// in worker order). Skew between entries shows memo-future convoying.
+  /// Wall time each pool worker spent draining jobs (one entry per worker,
+  /// in worker order). Skew between entries shows uneven job costs.
   std::vector<double> worker_wall_ms;
 
   double hit_rate() const {
@@ -108,10 +111,6 @@ struct SweepOptions {
   /// Worker threads for the pool; 0 = std::thread::hardware_concurrency().
   /// Results are identical for any value.
   std::size_t workers = 0;
-  /// Batched path only: maximum points per dispatched PointBlock; 0 = one
-  /// block per (section, method) group. Results are identical for any value
-  /// (smaller blocks just spread one section's grid over more workers).
-  std::size_t block_points = 0;
 };
 
 /// Evaluates every point of `grid` against `tree`. Equivalent to (and
@@ -119,13 +118,10 @@ struct SweepOptions {
 /// tree once; use the CompiledTree overload to amortize compilation across
 /// multiple sweeps (as the serve daemon does).
 ///
-/// Engine path: `grid.base.engine_path` (core::EngineOptions) selects the
-/// evaluation machinery. Auto and Batched route FF/Suitability sub-problems
-/// through the batched evaluators (emul::FfSectionBatch) in per-section
-/// point blocks; Scalar — or any sweep recording a timeline — evaluates
-/// every sub-problem with the per-point engines. Cells and memo statistics
-/// are bit-identical either way (tests/property/test_batched_equivalence.cpp);
-/// SweepStats::batched_* shows which path ran. See docs/SWEEP.md.
+/// A sweep whose `base.timeline` is set records the spans of each unique
+/// sub-problem once, in first-occurrence order. Timeline is not
+/// thread-safe, so such a sweep needs `options.workers == 1`; a one-point
+/// sweep then records exactly what predict() records. See docs/SWEEP.md.
 SweepResult sweep(const tree::ProgramTree& tree, const SweepGrid& grid,
                   const SweepOptions& options = {});
 SweepResult sweep(const tree::CompiledTree& compiled, const SweepGrid& grid,

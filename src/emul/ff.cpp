@@ -7,7 +7,6 @@
 #include <memory>
 #include <optional>
 #include <stdexcept>
-#include <unordered_map>
 #include <vector>
 
 #include "machine/timeline.hpp"
@@ -65,9 +64,40 @@ class FfEngine {
     Context(NodeRef s, SectionHandle h) : sec(s), index(std::move(h)) {}
   };
 
+  /// A virtual CPU's FIFO of ready cursors; barrier continuations go in at
+  /// the front. Unlike std::deque, which allocates as soon as it is built,
+  /// it allocates only when first pushed to, and it rewinds whenever it
+  /// drains.
+  class CursorQueue {
+   public:
+    bool empty() const { return head_ == buf_.size(); }
+    const Cursor& front() const { return buf_[head_]; }
+    void pop_front() {
+      if (++head_ == buf_.size()) {
+        buf_.clear();
+        head_ = 0;
+      }
+    }
+    void push_back(const Cursor& c) {
+      if (buf_.capacity() == 0) buf_.reserve(16);
+      buf_.push_back(c);
+    }
+    void push_front(const Cursor& c) {
+      if (head_ > 0) {
+        buf_[--head_] = c;
+      } else {
+        buf_.insert(buf_.begin(), c);
+      }
+    }
+
+   private:
+    std::vector<Cursor> buf_;
+    std::size_t head_ = 0;  ///< index of the front cursor
+  };
+
   struct Cpu {
     Cycles free_at = 0;
-    std::deque<Cursor> queue;
+    CursorQueue queue;
     std::optional<Cursor> current;
   };
 
@@ -88,11 +118,11 @@ class FfEngine {
     // nowait-spawned nested contexts have no parent continuation; their
     // work still bounds the section's end.
     Cycles end = top->max_finish;
-    for (const auto& ctx : contexts_) {
-      end = std::max(end, ctx->max_finish);
+    for (const Context& ctx : contexts_) {
+      end = std::max(end, ctx.max_finish);
     }
     if (obs::enabled()) {
-      // One batched flush per section, so the hot step() loop stays free of
+      // One flush per section, so the hot step() loop stays free of
       // atomics even when metrics are on.
       auto& reg = obs::MetricsRegistry::global();
       reg.counter("ff.sections").add(1);
@@ -112,8 +142,7 @@ class FfEngine {
                          std::optional<Cursor> parent_cont,
                          std::uint32_t parent_cpu,
                          const Context* parent_ctx) {
-    contexts_.push_back(std::make_unique<Context>(sec, view_.section(sec)));
-    Context* ctx = contexts_.back().get();
+    Context* ctx = &contexts_.emplace_back(sec, view_.section(sec));
     ctx->spawn_time = time;
     ctx->outstanding = view_.trip_count(ctx->index);
     ctx->unassigned = ctx->outstanding;
@@ -341,7 +370,9 @@ class FfEngine {
   View view_;
   const FfConfig& cfg_;
   std::vector<Cpu> cpus_;
-  std::vector<std::unique_ptr<Context>> contexts_;
+  /// Cursors and the dynamic stack point into it, so elements must never
+  /// move; a deque guarantees that with one allocation per few contexts.
+  std::deque<Context> contexts_;
   std::vector<Context*> dynamic_stack_;
   LockTable lock_free_;
   Cycles lock_waits_ = 0;
@@ -358,753 +389,6 @@ Cycles fork_cost(const FfConfig& cfg) {
   return cfg.overheads.fork_base +
          cfg.overheads.fork_per_thread * (cfg.num_threads - 1);
 }
-
-// ---------------------------------------------------------------------------
-// Batched evaluation (FfSectionBatch). The section is compiled once into a
-// flat segment program (structure of arrays); grid points are evaluated
-// against it either in closed form (flat sections) or on a pooled replica of
-// the FfEngine event loop. docs/INTERNALS.md spells out the bit-identity
-// invariants; tests/property/test_batched_equivalence.cpp enforces them.
-// ---------------------------------------------------------------------------
-
-/// One leaf-level action of a task body: uninterruptible work (U), a lock
-/// rep (L), or a nested-section spawn (Sec child).
-struct BSeg {
-  enum Kind : std::uint8_t { kWork, kLock, kSpawn };
-  Kind kind = kWork;
-  std::uint8_t barrier = 1;   ///< Spawn: nested barrier_at_end
-  std::uint32_t lock = 0;     ///< Lock: local dense lock slot
-  std::uint32_t sub = 0;      ///< Spawn: nested subsection index
-  std::uint64_t rep = 1;
-  Cycles len = 0;
-};
-
-struct BTask {
-  std::uint32_t seg_begin = 0;
-  std::uint32_t seg_end = 0;
-  bool flat = true;  ///< only kWork segments
-};
-
-/// RLE run of one physical Task child: `cum` is the cumulative trip count
-/// through this run (same encoding as CompiledTree's run tables).
-struct BRun {
-  std::uint32_t task = 0;
-  std::uint64_t cum = 0;
-};
-
-struct BSub {
-  std::uint32_t run_begin = 0;
-  std::uint32_t run_end = 0;
-  std::uint64_t trips = 0;
-  bool tasks_flat = true;
-};
-
-/// β-scaled segment lengths, cached per distinct burden factor. Building
-/// one is the straight-line SoA loop over the double-typed length vector.
-struct ScaledTab {
-  double beta = 1.0;
-  std::vector<Cycles> seg;     ///< per segment: (Cycles)(len·β + 0.5)
-  std::vector<Cycles> task_w;  ///< per flat task: Σ seg_scaled × rep
-};
-
-/// Pre-resolved static iteration assignment for one (schedule, threads,
-/// chunk): per-CPU iteration counts and per-run multiplicities. Reused
-/// verbatim across burden factors — re-pricing a plan under a new β is the
-/// incremental re-evaluation between adjacent grid points.
-struct StaticPlan {
-  OmpSchedule schedule = OmpSchedule::StaticCyclic;
-  CoreCount threads = 0;
-  std::uint64_t chunk = 1;
-  std::vector<std::uint64_t> iters;       ///< per CPU
-  std::vector<std::uint64_t> run_counts;  ///< threads × run_count, row-major
-};
-
-struct ResultKey {
-  OmpSchedule schedule = OmpSchedule::StaticCyclic;
-  CoreCount threads = 0;
-  std::uint64_t chunk = 1;
-  std::uint64_t beta_bits = 0;
-  bool operator==(const ResultKey&) const = default;
-};
-
-struct ResultKeyHash {
-  std::size_t operator()(const ResultKey& k) const {
-    std::uint64_t h = k.beta_bits * 0x9e3779b97f4a7c15ULL;
-    h ^= (static_cast<std::uint64_t>(k.schedule) << 32) ^ k.threads;
-    h ^= k.chunk + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
-    return static_cast<std::size_t>(h);
-  }
-};
-
-std::uint64_t beta_bits_of(double beta) {
-  std::uint64_t bits;
-  static_assert(sizeof bits == sizeof beta);
-  __builtin_memcpy(&bits, &beta, sizeof bits);
-  return bits;
-}
-
-/// The batched engine for one section over a tree view. Builds the segment
-/// program once; evaluate() prices grid points against it.
-template <class View>
-class BatchEngine {
-  using NodeRef = typename View::NodeRef;
-
- public:
-  BatchEngine(const View& view, NodeRef sec,
-              const runtime::OmpOverheads& overheads)
-      : view_(view), sec_(sec), ov_(overheads) {
-    build_sub(sec);
-    len_d_.resize(segs_.size());
-    for (std::size_t i = 0; i < segs_.size(); ++i) {
-      len_d_[i] = static_cast<double>(segs_[i].len);
-    }
-  }
-
-  Cycles evaluate(const BlockPoint& p) {
-    if (p.threads == 0) {
-      throw std::invalid_argument("FfSectionBatch: zero threads");
-    }
-    ++stats_.evals;
-    const double beta =
-        p.apply_burden ? view_.burden(sec_, p.threads) : 1.0;
-    // Dimensions the scalar engine provably never distinguishes collapse
-    // into one memo slot: schedule(static) ignores the chunk entirely, and
-    // every scheduler clamps chunk 0 to 1.
-    const std::uint64_t chunk_eff =
-        p.schedule == OmpSchedule::StaticBlock
-            ? 1
-            : std::max<std::uint64_t>(1, p.chunk);
-    const ResultKey key{p.schedule, p.threads, chunk_eff,
-                        beta_bits_of(beta)};
-    if (const auto it = results_.find(key); it != results_.end()) {
-      ++stats_.result_reuses;
-      return it->second;
-    }
-    const ScaledTab& tab = scaled_table(beta);
-    const Cycles fork =
-        ov_.fork_base + ov_.fork_per_thread * (p.threads - 1);
-    Cycles body;
-    if (subs_[0].tasks_flat) {
-      ++stats_.flat_evals;
-      if (p.schedule == OmpSchedule::Dynamic ||
-          p.schedule == OmpSchedule::Guided) {
-        body = eval_flat_dynamic(p.threads, p.schedule, chunk_eff, tab);
-      } else {
-        body = eval_plan(plan_for(p.schedule, p.threads, chunk_eff), tab);
-      }
-    } else {
-      ++stats_.general_evals;
-      body = run_general(p.threads, p.schedule, chunk_eff, tab);
-    }
-    const Cycles total = fork + body;
-    results_.emplace(key, total);
-    return total;
-  }
-
-  const FfSectionBatch::Stats& stats() const { return stats_; }
-
- private:
-  // ---- program build (once per section) ----
-
-  std::uint32_t lock_slot(LockId id) {
-    const auto [it, inserted] =
-        lock_map_.try_emplace(id, static_cast<std::uint32_t>(lock_map_.size()));
-    return it->second;
-  }
-
-  std::uint32_t build_task(NodeRef task) {
-    // Children buffered locally: recursing into a nested Sec appends that
-    // section's tasks' segments first, and this task's range must stay
-    // contiguous.
-    std::vector<BSeg> local;
-    bool flat = true;
-    for (auto walk = view_.children(task); !view_.cursor_done(walk);
-         view_.cursor_advance(walk)) {
-      const NodeRef c = view_.cursor_node(walk);
-      BSeg s;
-      s.rep = view_.repeat(c);
-      switch (view_.kind(c)) {
-        case NodeKind::U:
-          s.kind = BSeg::kWork;
-          s.len = view_.length(c);
-          break;
-        case NodeKind::L:
-          s.kind = BSeg::kLock;
-          s.len = view_.length(c);
-          s.lock = lock_slot(view_.lock_id(c));
-          flat = false;
-          break;
-        case NodeKind::Sec:
-          s.kind = BSeg::kSpawn;
-          s.sub = build_sub(c);
-          s.barrier = view_.barrier_at_end(c) ? 1 : 0;
-          flat = false;
-          break;
-        default:
-          throw std::invalid_argument(
-              "FfSectionBatch: invalid child kind in task body");
-      }
-      local.push_back(s);
-    }
-    BTask t;
-    t.seg_begin = static_cast<std::uint32_t>(segs_.size());
-    segs_.insert(segs_.end(), local.begin(), local.end());
-    t.seg_end = static_cast<std::uint32_t>(segs_.size());
-    t.flat = flat;
-    tasks_.push_back(t);
-    return static_cast<std::uint32_t>(tasks_.size() - 1);
-  }
-
-  std::uint32_t build_sub(NodeRef sec) {
-    const std::uint32_t idx = static_cast<std::uint32_t>(subs_.size());
-    subs_.emplace_back();
-    std::vector<std::pair<std::uint32_t, std::uint64_t>> local_runs;
-    bool tasks_flat = true;
-    const std::uint32_t nruns = view_.run_count(sec);
-    local_runs.reserve(nruns);
-    for (std::uint32_t r = 0; r < nruns; ++r) {
-      const NodeRef tnode = view_.run_task(sec, r);
-      if (view_.kind(tnode) != NodeKind::Task) {
-        throw std::invalid_argument("FfSectionBatch: Sec child is not a Task");
-      }
-      const std::uint32_t t = build_task(tnode);
-      tasks_flat = tasks_flat && tasks_[t].flat;
-      local_runs.emplace_back(t, view_.repeat(tnode));
-    }
-    BSub s;
-    s.run_begin = static_cast<std::uint32_t>(runs_.size());
-    std::uint64_t cum = 0;
-    for (const auto& [t, rep] : local_runs) {
-      cum += rep;
-      runs_.push_back(BRun{t, cum});
-    }
-    s.run_end = static_cast<std::uint32_t>(runs_.size());
-    s.trips = cum;
-    s.tasks_flat = tasks_flat;
-    // Compiled trees carry the classification precomputed (block layout);
-    // it is identical to the derived value by construction.
-    if (const tree::SecBlockFlags* f = view_.block_flags(sec)) {
-      s.tasks_flat = f->tasks_flat != 0;
-    }
-    subs_[idx] = s;
-    return idx;
-  }
-
-  // ---- β-scaled tables ----
-
-  const ScaledTab& scaled_table(double beta) {
-    for (const ScaledTab& t : scaled_) {
-      if (beta_bits_of(t.beta) == beta_bits_of(beta)) {
-        ++stats_.scaled_reuses;
-        return t;
-      }
-    }
-    if (scaled_.size() >= 64) scaled_.clear();  // unbounded-β backstop
-    ScaledTab tab;
-    tab.beta = beta;
-    tab.seg.resize(segs_.size());
-    // The SIMD-friendly inner loop: one multiply-add-truncate per segment
-    // over the contiguous double-typed length array. Must stay the exact
-    // expression FfEngine::step uses per node: (Cycles)(len·β + 0.5).
-    for (std::size_t i = 0; i < segs_.size(); ++i) {
-      tab.seg[i] = static_cast<Cycles>(len_d_[i] * beta + 0.5);
-    }
-    tab.task_w.assign(tasks_.size(), 0);
-    for (std::size_t t = 0; t < tasks_.size(); ++t) {
-      if (!tasks_[t].flat) continue;
-      Cycles w = 0;
-      for (std::uint32_t s = tasks_[t].seg_begin; s < tasks_[t].seg_end; ++s) {
-        w += tab.seg[s] * segs_[s].rep;
-      }
-      tab.task_w[t] = w;
-    }
-    scaled_.push_back(std::move(tab));
-    return scaled_.back();
-  }
-
-  // ---- closed-form paths (flat sections: tasks hold only U leaves) ----
-
-  /// First run of `sub` whose cumulative trips exceed iteration `i`.
-  std::uint32_t run_of(const BSub& sub, std::uint64_t i) const {
-    const auto begin = runs_.begin() + sub.run_begin;
-    const auto end = runs_.begin() + sub.run_end;
-    const auto it = std::upper_bound(
-        begin, end, i,
-        [](std::uint64_t v, const BRun& r) { return v < r.cum; });
-    return static_cast<std::uint32_t>(it - runs_.begin());
-  }
-
-  const StaticPlan& plan_for(OmpSchedule schedule, CoreCount threads,
-                             std::uint64_t chunk) {
-    for (const StaticPlan& p : plans_) {
-      if (p.schedule == schedule && p.threads == threads &&
-          p.chunk == chunk) {
-        ++stats_.plan_reuses;
-        return p;
-      }
-    }
-    const BSub& sub = subs_[0];
-    const std::uint64_t n = sub.trips;
-    const std::uint32_t nruns = sub.run_end - sub.run_begin;
-    StaticPlan plan;
-    plan.schedule = schedule;
-    plan.threads = threads;
-    plan.chunk = chunk;
-    plan.iters.assign(threads, 0);
-    plan.run_counts.assign(static_cast<std::size_t>(threads) * nruns, 0);
-    const auto add_range = [&](std::uint32_t cpu, std::uint64_t b,
-                               std::uint64_t e) {
-      plan.iters[cpu] += e - b;
-      std::uint32_t r = run_of(sub, b);
-      for (std::uint64_t i = b; i < e;) {
-        while (runs_[r].cum <= i) ++r;
-        const std::uint64_t span = std::min(e, runs_[r].cum) - i;
-        plan.run_counts[static_cast<std::size_t>(cpu) * nruns +
-                        (r - sub.run_begin)] += span;
-        i += span;
-      }
-    };
-    // Mirrors spawn_context's static pre-assignment at the top level
-    // (parent_cpu 0, so rank r lands on CPU r) with the iter_sched.cpp
-    // range arithmetic inlined verbatim.
-    if (schedule == OmpSchedule::StaticCyclic) {
-      for (std::uint32_t rank = 0; rank < threads; ++rank) {
-        for (std::uint64_t k = rank; k * chunk < n; k += threads) {
-          add_range(rank, k * chunk, std::min(n, k * chunk + chunk));
-        }
-      }
-    } else {  // StaticBlock: one contiguous block per rank
-      const std::uint64_t base = n / threads;
-      const std::uint64_t extra = n % threads;
-      for (std::uint32_t rank = 0; rank < threads; ++rank) {
-        const std::uint64_t begin =
-            rank * base + std::min<std::uint64_t>(rank, extra);
-        const std::uint64_t size = base + (rank < extra ? 1 : 0);
-        if (size != 0) add_range(rank, begin, begin + size);
-      }
-    }
-    plans_.push_back(std::move(plan));
-    return plans_.back();
-  }
-
-  Cycles eval_plan(const StaticPlan& plan, const ScaledTab& tab) const {
-    const BSub& sub = subs_[0];
-    if (sub.trips == 0) return ov_.join_barrier;
-    const std::uint32_t nruns = sub.run_end - sub.run_begin;
-    Cycles end = 0;
-    for (std::uint32_t cpu = 0; cpu < plan.threads; ++cpu) {
-      if (plan.iters[cpu] == 0) continue;  // never touches max_finish
-      // Per-CPU time is a pure sum of dispatch and work terms; uint64
-      // addition commutes, so regrouping by run is bit-identical to the
-      // scalar engine's per-iteration accumulation.
-      Cycles total = plan.iters[cpu] * ov_.static_dispatch;
-      for (std::uint32_t r = 0; r < nruns; ++r) {
-        const std::uint64_t cnt =
-            plan.run_counts[static_cast<std::size_t>(cpu) * nruns + r];
-        total += cnt * tab.task_w[runs_[sub.run_begin + r].task];
-      }
-      end = std::max(end, total);
-    }
-    return end + ov_.join_barrier;
-  }
-
-  /// Dynamic/guided over a flat section: replay the shared-counter pull
-  /// order. A CPU's next pull request is at its post-chunk free time, so the
-  /// argmin-free loop reproduces the scalar event order exactly (ties go to
-  /// the lowest CPU, as in FfEngine::loop's ascending scan).
-  Cycles eval_flat_dynamic(CoreCount threads, OmpSchedule schedule,
-                           std::uint64_t chunk, const ScaledTab& tab) {
-    const BSub& sub = subs_[0];
-    const std::uint64_t n = sub.trips;
-    if (n == 0) return ov_.join_barrier;
-    free_.assign(threads, 0);
-    // A pull always pays the dynamic dispatch; re-queued chunk-mates pay the
-    // schedule's per-start dispatch (static under guided) — the scalar
-    // engine's exact charging rules.
-    const Cycles rest_disp = schedule == OmpSchedule::Dynamic
-                                 ? ov_.dynamic_dispatch
-                                 : ov_.static_dispatch;
-    std::uint64_t next = 0;
-    std::uint32_t r = sub.run_begin;
-    Cycles end = 0;
-    while (next < n) {
-      std::uint32_t kmin = 0;
-      for (std::uint32_t k = 1; k < threads; ++k) {
-        if (free_[k] < free_[kmin]) kmin = k;
-      }
-      const std::uint64_t take =
-          schedule == OmpSchedule::Dynamic
-              ? chunk
-              : std::max(chunk, (n - next) / threads);
-      const std::uint64_t b = next;
-      const std::uint64_t e = std::min(n, next + take);
-      next = e;
-      Cycles cost = ov_.dynamic_dispatch + (e - b - 1) * rest_disp;
-      for (std::uint64_t i = b; i < e;) {
-        while (runs_[r].cum <= i) ++r;
-        const std::uint64_t span = std::min(e, runs_[r].cum) - i;
-        cost += span * tab.task_w[runs_[r].task];
-        i += span;
-      }
-      free_[kmin] += cost;
-      end = std::max(end, free_[kmin]);
-    }
-    return end + ov_.join_barrier;
-  }
-
-  // ---- general path: pooled replica of the FfEngine event loop ----
-  // Sections with locks or nested parallelism. Identical decision order;
-  // the only liberties are (a) index-based pooled state instead of per-spawn
-  // allocations and (b) maximal runs of local-only work segments collapsed
-  // into single steps. Every shared mutation (lock acquire, spawn, dynamic
-  // pull, task completion) stays its own globally-ordered event.
-
-  struct GCursor {
-    std::uint32_t ctx = 0;
-    std::uint32_t seg = 0;
-    std::uint32_t seg_end = 0;
-    std::uint64_t rep_done = 0;
-    Cycles ready_at = 0;
-    std::uint8_t charge_dispatch = 1;
-  };
-
-  struct GCtx {
-    std::uint32_t sub = 0;
-    Cycles spawn_time = 0;
-    std::uint64_t outstanding = 0;
-    std::uint64_t unassigned = 0;
-    Cycles max_finish = 0;
-    std::uint64_t next_iter = 0;  ///< dynamic/guided shared counter
-    std::uint32_t parent_cpu = 0;
-    GCursor parent_cont{};
-    std::uint8_t has_parent = 0;
-    std::uint8_t dynamic = 0;
-    std::uint8_t done = 0;
-  };
-
-  /// Two-vector deque with the scalar queue's exact pop order: items pushed
-  /// to the front (continuations) pop LIFO before the FIFO back half.
-  struct GCpu {
-    Cycles free_at = 0;
-    std::vector<GCursor> front;
-    std::vector<GCursor> back;
-    std::size_t back_head = 0;
-    GCursor current{};
-    std::uint8_t has_current = 0;
-
-    bool queue_empty() const {
-      return front.empty() && back_head >= back.size();
-    }
-    const GCursor& queue_front() const {
-      return front.empty() ? back[back_head] : front.back();
-    }
-  };
-
-  void set_task(GCursor& cur, std::uint32_t task) const {
-    cur.seg = tasks_[task].seg_begin;
-    cur.seg_end = tasks_[task].seg_end;
-    cur.rep_done = 0;
-  }
-
-  void complete_ctx(std::uint32_t ci) {
-    GCtx& ctx = gctxs_[ci];
-    ctx.done = 1;
-    if (ctx.has_parent) {
-      GCursor cont = ctx.parent_cont;
-      cont.ready_at = ctx.max_finish + ov_.join_barrier;
-      cont.charge_dispatch = 0;
-      gcpus_[ctx.parent_cpu].front.push_back(cont);
-      ctx.has_parent = 0;
-    }
-  }
-
-  void spawn_ctx(std::uint32_t sub_idx, Cycles time, const GCursor* parent,
-                 std::uint32_t parent_cpu) {
-    const std::uint32_t ci = static_cast<std::uint32_t>(gctxs_.size());
-    gctxs_.emplace_back();
-    GCtx& ctx = gctxs_.back();
-    ctx.sub = sub_idx;
-    ctx.spawn_time = time;
-    ctx.outstanding = subs_[sub_idx].trips;
-    ctx.unassigned = ctx.outstanding;
-    ctx.max_finish = time;
-    ctx.parent_cpu = parent_cpu;
-    if (parent != nullptr) {
-      ctx.parent_cont = *parent;
-      ctx.has_parent = 1;
-    }
-    if (ctx.outstanding == 0) {
-      complete_ctx(ci);
-      return;
-    }
-    if (g_dynamic_) {
-      ctx.dynamic = 1;
-      gdyn_.push_back(ci);
-      return;
-    }
-    // Static pre-assignment: rank r onto CPU (parent_cpu + r) mod t, with
-    // the iter_sched.cpp range arithmetic inlined verbatim.
-    const BSub& sub = subs_[sub_idx];
-    const std::uint64_t n = sub.trips;
-    const std::uint32_t t = g_threads_;
-    const auto enqueue_range = [&](std::uint32_t cpu, std::uint64_t b,
-                                   std::uint64_t e) {
-      std::uint32_t r = run_of(sub, b);
-      for (std::uint64_t i = b; i < e; ++i) {
-        while (runs_[r].cum <= i) ++r;
-        GCursor c;
-        c.ctx = ci;
-        set_task(c, runs_[r].task);
-        c.ready_at = time;
-        c.charge_dispatch = 1;
-        gcpus_[cpu].back.push_back(c);
-      }
-    };
-    if (g_schedule_ == OmpSchedule::StaticCyclic) {
-      for (std::uint32_t rank = 0; rank < t; ++rank) {
-        const std::uint32_t cpu = (parent_cpu + rank) % t;
-        for (std::uint64_t k = rank; k * g_chunk_ < n; k += t) {
-          enqueue_range(cpu, k * g_chunk_,
-                        std::min(n, k * g_chunk_ + g_chunk_));
-        }
-      }
-    } else {
-      const std::uint64_t base = n / t;
-      const std::uint64_t extra = n % t;
-      for (std::uint32_t rank = 0; rank < t; ++rank) {
-        const std::uint32_t cpu = (parent_cpu + rank) % t;
-        const std::uint64_t begin =
-            rank * base + std::min<std::uint64_t>(rank, extra);
-        const std::uint64_t size = base + (rank < extra ? 1 : 0);
-        if (size != 0) enqueue_range(cpu, begin, begin + size);
-      }
-    }
-  }
-
-  /// Dynamic/guided pull, mirroring DynamicScheduler/GuidedScheduler::next.
-  bool sched_pull(GCtx& ctx, std::uint64_t* b, std::uint64_t* e) {
-    const std::uint64_t n = subs_[ctx.sub].trips;
-    if (ctx.next_iter >= n) return false;
-    const std::uint64_t take =
-        g_schedule_ == OmpSchedule::Dynamic
-            ? g_chunk_
-            : std::max(g_chunk_, (n - ctx.next_iter) / g_threads_);
-    *b = ctx.next_iter;
-    ctx.next_iter = std::min(n, ctx.next_iter + take);
-    *e = ctx.next_iter;
-    return true;
-  }
-
-  Cycles g_next_action(std::uint32_t k) const {
-    const GCpu& cpu = gcpus_[k];
-    if (cpu.has_current) return cpu.free_at;
-    Cycles best = kInf;
-    if (!cpu.queue_empty()) {
-      best = std::max(cpu.free_at, cpu.queue_front().ready_at);
-    }
-    for (auto it = gdyn_.rbegin(); it != gdyn_.rend(); ++it) {
-      const GCtx& ctx = gctxs_[*it];
-      if (!ctx.done && ctx.unassigned > 0) {
-        best = std::min(best, std::max(cpu.free_at, ctx.spawn_time));
-        break;
-      }
-    }
-    return best;
-  }
-
-  void g_start_next(std::uint32_t k) {
-    GCpu& cpu = gcpus_[k];
-    if (!cpu.queue_empty()) {
-      GCursor c;
-      if (!cpu.front.empty()) {
-        c = cpu.front.back();
-        cpu.front.pop_back();
-      } else {
-        c = cpu.back[cpu.back_head++];
-      }
-      cpu.free_at = std::max(cpu.free_at, c.ready_at);
-      if (c.charge_dispatch) {
-        cpu.free_at += g_schedule_ == OmpSchedule::Dynamic
-                           ? ov_.dynamic_dispatch
-                           : ov_.static_dispatch;
-        c.charge_dispatch = 0;
-      }
-      cpu.current = c;
-      cpu.has_current = 1;
-      return;
-    }
-    for (auto it = gdyn_.rbegin(); it != gdyn_.rend(); ++it) {
-      const std::uint32_t ci = *it;
-      GCtx& ctx = gctxs_[ci];
-      if (ctx.done || ctx.unassigned == 0) continue;
-      std::uint64_t b = 0;
-      std::uint64_t e = 0;
-      if (!sched_pull(ctx, &b, &e)) continue;
-      ctx.unassigned -= e - b;
-      cpu.free_at =
-          std::max(cpu.free_at, ctx.spawn_time) + ov_.dynamic_dispatch;
-      const BSub& sub = subs_[ctx.sub];
-      std::uint32_t r = run_of(sub, b);
-      while (runs_[r].cum <= b) ++r;
-      GCursor first;
-      first.ctx = ci;
-      set_task(first, runs_[r].task);
-      first.charge_dispatch = 0;
-      for (std::uint64_t i = b + 1; i < e; ++i) {
-        while (runs_[r].cum <= i) ++r;
-        GCursor rest;
-        rest.ctx = ci;
-        set_task(rest, runs_[r].task);
-        rest.ready_at = cpu.free_at;
-        rest.charge_dispatch = 1;
-        cpu.back.push_back(rest);
-      }
-      cpu.current = first;
-      cpu.has_current = 1;
-      return;
-    }
-  }
-
-  void g_step(std::uint32_t k) {
-    GCpu& cpu = gcpus_[k];
-    GCursor& cur = cpu.current;
-    // Exhausted-repeat advances are local bookkeeping the scalar engine
-    // performs as separate steps — fold them.
-    while (cur.seg != cur.seg_end && cur.rep_done >= segs_[cur.seg].rep) {
-      ++cur.seg;
-      cur.rep_done = 0;
-    }
-    if (cur.seg == cur.seg_end) {
-      // Task completion is a shared mutation: it must happen at this CPU's
-      // globally-ordered turn, never folded into the preceding work step
-      // (an early parent continuation would shadow queued cursors).
-      GCtx& ctx = gctxs_[cur.ctx];
-      --ctx.outstanding;
-      ctx.max_finish = std::max(ctx.max_finish, cpu.free_at);
-      const std::uint32_t ci = cur.ctx;
-      cpu.has_current = 0;
-      if (ctx.outstanding == 0) complete_ctx(ci);
-      return;
-    }
-    const BSeg& sg = segs_[cur.seg];
-    switch (sg.kind) {
-      case BSeg::kWork: {
-        // Coarse step: a maximal run of local-only work segments.
-        do {
-          const BSeg& w = segs_[cur.seg];
-          if (cur.rep_done < w.rep) {
-            cpu.free_at += g_scaled_->seg[cur.seg] * (w.rep - cur.rep_done);
-          }
-          ++cur.seg;
-          cur.rep_done = 0;
-        } while (cur.seg != cur.seg_end &&
-                 segs_[cur.seg].kind == BSeg::kWork);
-        return;
-      }
-      case BSeg::kLock: {
-        ++cur.rep_done;
-        cpu.free_at += ov_.lock_acquire;
-        Cycles& lock_free = glocks_[sg.lock];
-        const Cycles acquired = std::max(cpu.free_at, lock_free);
-        const Cycles body_end = acquired + g_scaled_->seg[cur.seg];
-        cpu.free_at = body_end;
-        lock_free = body_end;
-        cpu.free_at += ov_.lock_release;
-        return;
-      }
-      case BSeg::kSpawn: {
-        ++cur.rep_done;
-        cpu.free_at += g_fork_;
-        const Cycles spawn_time = cpu.free_at;
-        if (sg.barrier) {
-          const GCursor cont = cur;  // copy before the slot is vacated
-          cpu.has_current = 0;
-          spawn_ctx(sg.sub, spawn_time, &cont, k);
-        } else {
-          spawn_ctx(sg.sub, spawn_time, nullptr, k);
-        }
-        return;
-      }
-    }
-  }
-
-  Cycles run_general(CoreCount threads, OmpSchedule schedule,
-                     std::uint64_t chunk, const ScaledTab& tab) {
-    g_threads_ = threads;
-    g_schedule_ = schedule;
-    g_chunk_ = chunk;
-    g_dynamic_ = schedule == OmpSchedule::Dynamic ||
-                 schedule == OmpSchedule::Guided;
-    g_fork_ = ov_.fork_base + ov_.fork_per_thread * (threads - 1);
-    g_scaled_ = &tab;
-    if (gcpus_.size() < threads) gcpus_.resize(threads);
-    for (std::uint32_t k = 0; k < threads; ++k) {
-      GCpu& cpu = gcpus_[k];
-      cpu.free_at = 0;
-      cpu.front.clear();
-      cpu.back.clear();
-      cpu.back_head = 0;
-      cpu.has_current = 0;
-    }
-    gctxs_.clear();
-    gdyn_.clear();
-    glocks_.assign(lock_map_.size(), 0);
-
-    spawn_ctx(0, 0, nullptr, 0);
-    while (true) {
-      std::uint32_t best_cpu = 0;
-      Cycles best_time = kInf;
-      for (std::uint32_t k = 0; k < threads; ++k) {
-        const Cycles t = g_next_action(k);
-        if (t < best_time) {
-          best_time = t;
-          best_cpu = k;
-        }
-      }
-      if (best_time == kInf) break;
-      GCpu& cpu = gcpus_[best_cpu];
-      if (!cpu.has_current) {
-        g_start_next(best_cpu);
-        if (!cpu.has_current) break;  // defensive, mirrors FfEngine::loop
-        continue;
-      }
-      g_step(best_cpu);
-    }
-    Cycles end = gctxs_[0].max_finish;
-    for (const GCtx& c : gctxs_) end = std::max(end, c.max_finish);
-    return end + ov_.join_barrier;
-  }
-
-  // ---- immutable program (built once) ----
-  View view_;
-  NodeRef sec_;
-  runtime::OmpOverheads ov_;
-  std::vector<BSeg> segs_;
-  std::vector<double> len_d_;
-  std::vector<BTask> tasks_;
-  std::vector<BRun> runs_;
-  std::vector<BSub> subs_;
-  std::unordered_map<LockId, std::uint32_t> lock_map_;
-
-  // ---- per-instance caches (the incremental-re-evaluation state) ----
-  std::vector<ScaledTab> scaled_;
-  std::vector<StaticPlan> plans_;
-  std::unordered_map<ResultKey, Cycles, ResultKeyHash> results_;
-  FfSectionBatch::Stats stats_;
-
-  // ---- pooled general-engine state (reused across points) ----
-  std::vector<GCpu> gcpus_;
-  std::vector<GCtx> gctxs_;
-  std::vector<std::uint32_t> gdyn_;
-  std::vector<Cycles> glocks_;
-  std::vector<Cycles> free_;  // flat dynamic path scratch
-  CoreCount g_threads_ = 0;
-  OmpSchedule g_schedule_ = OmpSchedule::StaticCyclic;
-  std::uint64_t g_chunk_ = 1;
-  bool g_dynamic_ = false;
-  Cycles g_fork_ = 0;
-  const ScaledTab* g_scaled_ = nullptr;
-};
 
 }  // namespace
 
@@ -1173,83 +457,6 @@ FfResult emulate_ff(const tree::CompiledTree& ct, const FfConfig& cfg) {
     if (ct.kind(c) == NodeKind::Sec) ++s;
   }
   return total;
-}
-
-// ---------------------------------------------------------------------------
-// FfSectionBatch: thin type-erasing shell over BatchEngine<View>.
-// ---------------------------------------------------------------------------
-
-struct FfSectionBatch::Impl {
-  virtual ~Impl() = default;
-  virtual Cycles evaluate(const BlockPoint& p) = 0;
-  virtual const FfSectionBatch::Stats& stats() const = 0;
-};
-
-namespace {
-
-template <class View>
-struct BatchImpl final : FfSectionBatch::Impl {
-  BatchEngine<View> engine;
-
-  BatchImpl(const View& view, typename View::NodeRef sec,
-            const runtime::OmpOverheads& overheads)
-      : engine(view, sec, overheads) {}
-  Cycles evaluate(const BlockPoint& p) override { return engine.evaluate(p); }
-  const FfSectionBatch::Stats& stats() const override {
-    return engine.stats();
-  }
-};
-
-}  // namespace
-
-FfSectionBatch::FfSectionBatch(const tree::CompiledTree& ct,
-                               std::uint32_t section,
-                               const runtime::OmpOverheads& overheads) {
-  if (section >= ct.section_count()) {
-    throw std::invalid_argument("FfSectionBatch: section out of range");
-  }
-  impl_ = std::make_unique<BatchImpl<runtime::FlatTreeView>>(
-      runtime::FlatTreeView{&ct}, ct.section_node(section), overheads);
-}
-
-FfSectionBatch::FfSectionBatch(const tree::Node& sec,
-                               const runtime::OmpOverheads& overheads) {
-  if (sec.kind() != NodeKind::Sec) {
-    throw std::invalid_argument("FfSectionBatch: node is not a Sec");
-  }
-  impl_ = std::make_unique<BatchImpl<runtime::PtrTreeView>>(
-      runtime::PtrTreeView{}, &sec, overheads);
-}
-
-FfSectionBatch::~FfSectionBatch() = default;
-FfSectionBatch::FfSectionBatch(FfSectionBatch&&) noexcept = default;
-FfSectionBatch& FfSectionBatch::operator=(FfSectionBatch&&) noexcept =
-    default;
-
-Cycles FfSectionBatch::evaluate(const BlockPoint& p) {
-  return impl_->evaluate(p);
-}
-
-std::vector<Cycles> FfSectionBatch::evaluate_block(const PointBlock& block) {
-  std::vector<Cycles> out;
-  out.reserve(block.size());
-  const std::size_t before = impl_->stats().result_reuses;
-  for (std::size_t i = 0; i < block.size(); ++i) {
-    out.push_back(impl_->evaluate(block.at(i)));
-  }
-  if (obs::enabled() && !block.empty()) {
-    // One flush per block, mirroring the scalar engine's per-section flush.
-    auto& reg = obs::MetricsRegistry::global();
-    reg.counter("ff.batch.blocks").add(1);
-    reg.counter("ff.batch.points").add(block.size());
-    reg.counter("ff.batch.result_reuses")
-        .add(impl_->stats().result_reuses - before);
-  }
-  return out;
-}
-
-const FfSectionBatch::Stats& FfSectionBatch::stats() const {
-  return impl_->stats();
 }
 
 }  // namespace pprophet::emul

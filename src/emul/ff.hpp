@@ -18,9 +18,6 @@
 // the FF stays cheap and machine-independent.
 #pragma once
 
-#include <memory>
-#include <vector>
-
 #include "runtime/iter_sched.hpp"
 #include "runtime/overheads.hpp"
 #include "tree/compile.hpp"
@@ -66,115 +63,11 @@ FfResult emulate_ff(const tree::ProgramTree& tree, const FfConfig& cfg);
 /// duration (serial_cycles is the section's serial work).
 FfResult emulate_ff_section(const tree::Node& sec, const FfConfig& cfg);
 
-/// Compiled-tree overloads: same engine over flat arrays — no allocation
-/// per emulation, bit-identical results (tests/tree/test_compile.cpp).
+/// Compiled-tree overloads: same engine over flat arrays, bit-identical
+/// results (tests/tree/test_compile.cpp).
 /// `section` indexes the compiled tree's top-level-section table.
 FfResult emulate_ff(const tree::CompiledTree& ct, const FfConfig& cfg);
 FfResult emulate_ff_section(const tree::CompiledTree& ct,
                             std::uint32_t section, const FfConfig& cfg);
-
-// ---------------------------------------------------------------------------
-// Batched grid evaluation (docs/INTERNALS.md "Batched block layout").
-//
-// A sweep evaluates one section under many (threads, schedule, chunk, β)
-// configurations. The scalar engine above rebuilds its cursor walk per
-// point; the batched path compiles the section ONCE into a flat segment
-// program (structure-of-arrays: per-segment kind/length/repeat/lock-slot
-// vectors shared by every point of a block), then evaluates grid points
-// against it:
-//   * β-scaled segment lengths are cached per distinct burden factor — the
-//     scaling loop is a straight-line array pass over the SoA length vector
-//     (the SIMD-friendly inner loop), reused by every point sharing a β;
-//   * sections whose tasks are flat (only U leaves — the common profiled
-//     loop) evaluate in closed form: static schedules reuse a per-(schedule,
-//     threads, chunk) iteration plan across β ("incremental re-evaluation":
-//     moving to an adjacent grid point where only β changed re-prices the
-//     cached plan instead of re-simulating), dynamic/guided replay the
-//     shared-counter pull order without materializing cursors;
-//   * sections with locks or nested parallelism run a pooled, allocation-
-//     free replica of the scalar event loop that coarsens local-only work
-//     runs into single steps while keeping every shared mutation (lock
-//     acquire, spawn, pull, task completion) its own globally-ordered event.
-// Every path is bit-identical to emulate_ff_section for the matching
-// FfConfig (tests/property/test_batched_equivalence.cpp).
-// ---------------------------------------------------------------------------
-
-/// One grid point of a batched evaluation. `apply_burden` selects the PredM
-/// variant (β read off the section's burden table for `threads`).
-struct BlockPoint {
-  CoreCount threads = 4;
-  runtime::OmpSchedule schedule = runtime::OmpSchedule::StaticCyclic;
-  std::uint64_t chunk = 1;
-  bool apply_burden = false;
-};
-
-/// Structure-of-arrays block of grid points evaluated against one section
-/// program in lockstep. Per-point dimensions only; the overhead vector is
-/// shared and lives in the FfSectionBatch.
-struct PointBlock {
-  std::vector<CoreCount> threads;
-  std::vector<runtime::OmpSchedule> schedules;
-  std::vector<std::uint64_t> chunks;
-  std::vector<std::uint8_t> apply_burden;
-
-  std::size_t size() const { return threads.size(); }
-  bool empty() const { return threads.empty(); }
-  void push_back(const BlockPoint& p) {
-    threads.push_back(p.threads);
-    schedules.push_back(p.schedule);
-    chunks.push_back(p.chunk);
-    apply_burden.push_back(p.apply_burden ? 1 : 0);
-  }
-  BlockPoint at(std::size_t i) const {
-    return BlockPoint{threads[i], schedules[i], chunks[i],
-                      apply_burden[i] != 0};
-  }
-};
-
-/// Batched FF evaluator for ONE top-level section. Stateful on purpose:
-/// the segment program, β-scaled length tables, static iteration plans and
-/// per-point results persist across evaluate() calls, so walking a grid
-/// point-by-point (or block-by-block) reuses everything an adjacent point
-/// already priced. Results are bit-identical to emulate_ff_section with the
-/// matching FfConfig; parallel duration includes fork cost and the final
-/// barrier, for ONE repetition of the section (as predict_section_cycles
-/// expects). Not thread-safe; use one instance per worker.
-class FfSectionBatch {
- public:
-  /// Over a compiled tree (the hot path). `ct` must outlive the batch.
-  FfSectionBatch(const tree::CompiledTree& ct, std::uint32_t section,
-                 const runtime::OmpOverheads& overheads);
-  /// Over the pointer tree (reference path). `sec` must outlive the batch.
-  FfSectionBatch(const tree::Node& sec,
-                 const runtime::OmpOverheads& overheads);
-  ~FfSectionBatch();
-  FfSectionBatch(FfSectionBatch&&) noexcept;
-  FfSectionBatch& operator=(FfSectionBatch&&) noexcept;
-
-  /// Projected parallel duration of one section repetition at `p`.
-  Cycles evaluate(const BlockPoint& p);
-  /// Evaluates every point of `block`, sharing scaled tables and plans
-  /// across the block. Returns one duration per point, in block order.
-  std::vector<Cycles> evaluate_block(const PointBlock& block);
-
-  /// Reuse accounting, so tests can assert the incremental machinery
-  /// actually engages (zero reuse on a fresh instance).
-  struct Stats {
-    std::size_t evals = 0;          ///< evaluate() calls
-    std::size_t result_reuses = 0;  ///< served from the per-point memo
-    std::size_t plan_reuses = 0;    ///< static plan shared across β
-    std::size_t scaled_reuses = 0;  ///< β table shared across points
-    std::size_t flat_evals = 0;     ///< closed-form path taken
-    std::size_t general_evals = 0;  ///< pooled event engine taken
-  };
-  const Stats& stats() const;
-
-  /// Type-erased engine (one instantiation per tree view); public only so
-  /// the .cpp can derive the per-view implementations from it.
-  struct Impl;
-
- private:
-  std::unique_ptr<Impl> impl_;
-};
 
 }  // namespace pprophet::emul

@@ -40,37 +40,4 @@ FfResult emulate_suitability_section(const tree::CompiledTree& ct,
   return emulate_ff_section(ct, section, suitability_ff_config(cfg));
 }
 
-namespace {
-
-BlockPoint suitability_point(CoreCount threads) {
-  BlockPoint p;
-  p.threads = threads;
-  p.schedule = runtime::OmpSchedule::Dynamic;
-  p.chunk = 1;
-  p.apply_burden = false;  // no memory model, as in suitability_ff_config
-  return p;
-}
-
-}  // namespace
-
-SuitabilitySectionBatch::SuitabilitySectionBatch(const tree::CompiledTree& ct,
-                                                 std::uint32_t section,
-                                                 const SuitabilityConfig& cfg)
-    : batch_(ct, section, suitability_ff_config(cfg).overheads) {}
-
-SuitabilitySectionBatch::SuitabilitySectionBatch(const tree::Node& sec,
-                                                 const SuitabilityConfig& cfg)
-    : batch_(sec, suitability_ff_config(cfg).overheads) {}
-
-Cycles SuitabilitySectionBatch::evaluate(CoreCount threads) {
-  return batch_.evaluate(suitability_point(threads));
-}
-
-std::vector<Cycles> SuitabilitySectionBatch::evaluate_block(
-    const std::vector<CoreCount>& threads) {
-  PointBlock block;
-  for (const CoreCount t : threads) block.push_back(suitability_point(t));
-  return batch_.evaluate_block(block);
-}
-
 }  // namespace pprophet::emul

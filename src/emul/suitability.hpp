@@ -51,26 +51,4 @@ FfResult emulate_suitability_section(const tree::CompiledTree& ct,
 /// to dynamic,1 with the coarse constant overhead vector.
 FfConfig suitability_ff_config(const SuitabilityConfig& cfg);
 
-/// Batched Suitability evaluator for one top-level section: FfSectionBatch
-/// under the coarse overhead vector with the schedule pinned to dynamic,1 —
-/// the thread count is the only live grid dimension. Bit-identical to
-/// emulate_suitability_section.
-class SuitabilitySectionBatch {
- public:
-  SuitabilitySectionBatch(const tree::CompiledTree& ct, std::uint32_t section,
-                          const SuitabilityConfig& cfg = {});
-  explicit SuitabilitySectionBatch(const tree::Node& sec,
-                                   const SuitabilityConfig& cfg = {});
-
-  /// Projected parallel duration of one section repetition on `threads`.
-  Cycles evaluate(CoreCount threads);
-  /// One duration per entry of `threads`, sharing all cached state.
-  std::vector<Cycles> evaluate_block(const std::vector<CoreCount>& threads);
-
-  const FfSectionBatch::Stats& stats() const { return batch_.stats(); }
-
- private:
-  FfSectionBatch batch_;
-};
-
 }  // namespace pprophet::emul

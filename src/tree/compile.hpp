@@ -48,34 +48,12 @@ struct SectionAggregates {
   Cycles lock_cycles = 0;        ///< Σ in-lock (L) lengths × enclosed repeats
 };
 
-/// Per-Sec classification flags for the batched emulator's block layout
-/// (docs/INTERNALS.md). Computed at compile time when
-/// CompileOptions::block_layout is on; purely derived data — never part of
-/// the section/tree digests (tests/tree/test_compile.cpp pins that).
-struct SecBlockFlags {
-  std::uint8_t subtree_has_lock = 0;    ///< any L below this Sec
-  std::uint8_t subtree_has_nested = 0;  ///< any nested Sec below this Sec
-  /// Every Task child of this Sec holds only U leaves — the batched FF can
-  /// evaluate such a section in closed form instead of event by event.
-  std::uint8_t tasks_flat = 0;
-};
-
-/// Compilation knobs. The defaults match the historical one-argument
-/// compile(): block layout on.
-struct CompileOptions {
-  /// Build the per-Sec SecBlockFlags side table. Affects only derived
-  /// lookup tables; digests and emulation results are identical either way.
-  bool block_layout = true;
-};
-
 class CompiledTree {
  public:
   /// One-pass compilation. Enforces the tree/validate.hpp nesting rules
   /// (Root children ∈ {Sec,U}; Sec children ∈ {Task}; Task children ∈
   /// {U,L,Sec}; U/L leaves) and throws std::invalid_argument on violation.
   static CompiledTree compile(const ProgramTree& tree);
-  static CompiledTree compile(const ProgramTree& tree,
-                              const CompileOptions& options);
 
   // ---- node records (structure of arrays) ----
   std::uint32_t node_count() const {
@@ -106,25 +84,9 @@ class CompiledTree {
 
     std::uint64_t trip_count() const { return trips; }
     NodeId task_at(std::uint64_t i) const;  ///< O(log runs)
-
-    // Block-friendly accessors: the RLE runs themselves, so batched
-    // evaluators can walk physical tasks once instead of binary-searching
-    // per logical iteration.
-    std::uint32_t run_count() const { return runs; }
-    /// Task node of run `r` (physical Sec child order).
-    NodeId run_task(std::uint32_t r) const;
-    /// Logical iterations of run `r` (the Task child's repeat).
-    std::uint64_t run_trips(std::uint32_t r) const;
-    /// Cumulative trips through the end of run `r` (run_cum_ read-through).
-    std::uint64_t run_cum(std::uint32_t r) const;
   };
   /// Precondition: kind(sec) == NodeKind::Sec.
   TaskTable tasks_of(NodeId sec) const;
-
-  /// Block-layout classification of any Sec node, or nullptr when compiled
-  /// with CompileOptions::block_layout = false.
-  const SecBlockFlags* sec_block_flags(NodeId sec) const;
-  bool has_block_layout() const { return has_block_layout_; }
 
   // ---- top-level sections ----
   std::uint32_t section_count() const {
@@ -211,8 +173,6 @@ class CompiledTree {
   std::vector<TableRec> tables_;      // one per Sec node
   std::vector<std::uint64_t> run_cum_;  // shared cumulative-repeat array
   std::vector<NodeId> run_task_;        // shared task-id array
-  std::vector<SecBlockFlags> sec_flags_;  // one per Sec node (block layout)
-  bool has_block_layout_ = false;
 
   std::vector<SectionInfo> sections_;
   std::size_t lock_count_ = 0;

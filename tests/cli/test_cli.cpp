@@ -167,21 +167,6 @@ TEST_F(CliTest, ParseRejectsBadValues) {
   EXPECT_FALSE(parse({"predict", "--tree", "t", "--cores", "-2"}));
   EXPECT_FALSE(parse({"predict", "--tree", "t", "--tolerance", "7"}));
   EXPECT_FALSE(parse({"predict", "--tree", "t", "--csv"}));  // missing value
-  EXPECT_FALSE(parse({"predict", "--tree", "t", "--engine-path", "simd"}));
-}
-
-TEST_F(CliTest, ParseEnginePathSpellings) {
-  EXPECT_EQ(parse({"predict", "--tree", "t"})->engine_path,
-            core::EnginePath::Auto);
-  EXPECT_EQ(parse({"predict", "--tree", "t", "--engine-path", "scalar"})
-                ->engine_path,
-            core::EnginePath::Scalar);
-  EXPECT_EQ(parse({"sweep", "--tree", "t", "--engine-path", "batched"})
-                ->engine_path,
-            core::EnginePath::Batched);
-  EXPECT_EQ(
-      parse({"sweep", "--tree", "t", "--engine-path", "auto"})->engine_path,
-      core::EnginePath::Auto);
 }
 
 TEST_F(CliTest, PredictProducesSpeedupTable) {
@@ -465,9 +450,9 @@ TEST_F(CliTest, SweepCsvDashStreamsToStdout) {
   EXPECT_NE(err_.str().find("memo hit rate"), std::string::npos);
 }
 
-// End-to-end bit-identity at the CLI layer: the same sweep forced down the
-// scalar and the batched path streams byte-identical CSV.
-TEST_F(CliTest, SweepEnginePathsStreamIdenticalCsv) {
+// End-to-end determinism at the CLI layer: the same sweep drained by one
+// worker and by four streams byte-identical CSV.
+TEST_F(CliTest, SweepWorkerCountsStreamIdenticalCsv) {
   Options o;
   o.command = "sweep";
   o.tree_path = tree_path_;
@@ -478,18 +463,17 @@ TEST_F(CliTest, SweepEnginePathsStreamIdenticalCsv) {
   o.threads = {2, 4};
   o.csv_path = "-";
 
-  o.engine_path = core::EnginePath::Scalar;
+  o.workers = 1;
   EXPECT_EQ(run_cmd(o), 0);
-  const std::string scalar_csv = out_.str();
-  EXPECT_NE(err_.str().find("engine path scalar"), std::string::npos);
+  const std::string one_worker_csv = out_.str();
+  EXPECT_NE(err_.str().find(", 1 worker,"), std::string::npos);
 
   out_.str("");
   err_.str("");
-  o.engine_path = core::EnginePath::Batched;
+  o.workers = 4;
   EXPECT_EQ(run_cmd(o), 0);
-  EXPECT_EQ(out_.str(), scalar_csv);
-  EXPECT_NE(err_.str().find("engine path batched"), std::string::npos);
-  EXPECT_NE(err_.str().find("batched block"), std::string::npos);
+  EXPECT_EQ(out_.str(), one_worker_csv);
+  EXPECT_NE(err_.str().find(", 4 workers,"), std::string::npos);
 }
 
 // --- robustness: every bad invocation is one clear line, nonzero exit ----

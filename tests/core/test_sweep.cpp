@@ -1,10 +1,11 @@
-// Sweep-engine tests: every cell of a batched sweep must be bit-identical
-// to a fresh sequential core::predict call, for any worker count, and the
-// per-section memo must actually share sub-results across grid points.
+// Sweep-engine tests: every cell of a sweep must be bit-identical to a
+// fresh sequential core::predict call, for any worker count, and the
+// per-section dedup must actually share sub-results across grid points.
 #include "core/sweep.hpp"
 
 #include <gtest/gtest.h>
 
+#include "machine/timeline.hpp"
 #include "tree/builder.hpp"
 
 namespace pprophet::core {
@@ -150,6 +151,49 @@ TEST(Sweep, SinglePointSweepEqualsPredict) {
   EXPECT_EQ(res.cells[0].estimate.parallel_cycles, seq.parallel_cycles);
   EXPECT_EQ(res.stats.section_evals, 2u);  // two sections, no sharing
   EXPECT_EQ(res.stats.cache_hits, 0u);
+}
+
+// A sweep with base.timeline set takes the same dedup path as any other. On
+// one worker it emulates each sub-problem in first-occurrence order, so an
+// FF grid whose points share no sub-key records exactly the spans that
+// predict() records point by point, and prices the same cycles.
+TEST(Sweep, TimelineSweepRecordsSameSpansAsPredict) {
+  const ProgramTree t = fixture_tree();
+  SweepGrid grid;
+  grid.methods = {Method::FastForward};
+  grid.schedules = {runtime::OmpSchedule::StaticCyclic,
+                    runtime::OmpSchedule::Dynamic};
+  grid.thread_counts = {2, 4};
+  grid.memory_models = {false};
+  grid.base = base_options();
+
+  machine::Timeline swept;
+  grid.base.timeline = &swept;
+  SweepOptions one;
+  one.workers = 1;
+  const SweepResult res = sweep(t, grid, one);
+  ASSERT_EQ(res.cells.size(), 4u);
+  EXPECT_EQ(res.stats.section_evals, res.stats.section_lookups);
+
+  machine::Timeline predicted;
+  for (const SweepCell& cell : res.cells) {
+    PredictOptions o = options_of(grid, cell.point);
+    o.timeline = &predicted;
+    const SpeedupEstimate seq = predict(t, cell.point.threads, o);
+    EXPECT_EQ(cell.estimate.parallel_cycles, seq.parallel_cycles);
+    EXPECT_EQ(cell.estimate.speedup, seq.speedup);
+  }
+  ASSERT_FALSE(predicted.spans().empty());
+  ASSERT_EQ(swept.spans().size(), predicted.spans().size());
+  for (std::size_t i = 0; i < swept.spans().size(); ++i) {
+    const machine::TimelineSpan& a = swept.spans()[i];
+    const machine::TimelineSpan& b = predicted.spans()[i];
+    EXPECT_EQ(a.thread, b.thread) << "span " << i;
+    EXPECT_EQ(a.begin, b.begin) << "span " << i;
+    EXPECT_EQ(a.end, b.end) << "span " << i;
+    EXPECT_EQ(a.kind, b.kind) << "span " << i;
+  }
+  EXPECT_EQ(swept.horizon(), predicted.horizon());
 }
 
 TEST(Sweep, RepeatedSweepsAreDeterministic) {

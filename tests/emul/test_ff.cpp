@@ -217,6 +217,35 @@ TEST(Ff, NowaitNestedSectionOverlapsParent) {
   // nowait kept the parent from blocking at the section end.
 }
 
+TEST(Ff, BarrierContinuationRunsBeforeQueuedIterations) {
+  // Two outer tasks on 2 CPUs, each suspending at a nested barrier. CPU 0
+  // finishes a0's inner iteration at 100 and starts a1's inner iteration
+  // n'1 (queued behind it, 100-200), with n'3 still queued. a0's section
+  // completes at 150 (its other iteration ran on CPU 1), so a0's
+  // continuation is queued on CPU 0 *ahead* of n'3: U(500) at 200-700,
+  // then n'3 at 700-800, which ends a1's section at 800 and its U(10) at
+  // 810. Queued behind n'3 instead, it would end the section at 800.
+  TreeBuilder b;
+  b.begin_sec("outer");
+  b.begin_task("a0");
+  b.begin_sec("n");
+  b.begin_task("n").u(100).end_task().repeat_last(2);
+  b.end_sec();
+  b.u(500);
+  b.end_task();
+  b.begin_task("a1");
+  b.u(50);
+  b.begin_sec("n'");
+  b.begin_task("n'").u(100).end_task().repeat_last(4);
+  b.end_sec();
+  b.u(10);
+  b.end_task();
+  b.end_sec();
+  const ProgramTree t = b.finish();
+  const FfResult r = emulate_ff(t, cfg(2, OmpSchedule::StaticCyclic));
+  EXPECT_EQ(r.parallel_cycles, 810u);
+}
+
 TEST(Ff, SerialTopLevelNodesPassThrough) {
   TreeBuilder b;
   b.u(500);

@@ -1,19 +1,17 @@
 #!/usr/bin/env bash
 # Sanitizer build matrix for CI: build the whole tree under each requested
-# sanitizer and run the ctest label subsets that exercise the batched
-# evaluation path and the multi-threaded engines.
+# sanitizer and run the ctest label subsets that exercise the
+# multi-threaded engines.
 #
 #   tools/ci_matrix.sh [sanitizer ...]     # default: address undefined
 #
 # Per sanitizer (own build tree, build-ci-<san>):
-#   - `ctest -L 'batched|concurrency'` — the scalar-vs-batched differential
-#     harness (tests/property/test_batched_equivalence.cpp) plus every suite
-#     that drives the sweep worker pool, the memo, the metrics registry and
-#     the serve daemon.
+#   - `ctest -L concurrency` — every suite that drives the sweep worker
+#     pool, the memo, the metrics registry and the serve daemon.
 #   - `ctest -L perf` — the self-checking benches. Under ctest they run in
 #     smoke mode (PP_SMOKE=1, wired in bench/CMakeLists.txt): reduced grid,
-#     one sample, so the bit-identity gates — pointer vs compiled vs sweep,
-#     scalar vs batched engine path — still run on every PR without paying
+#     one sample, so the bit-identity gates — pointer vs compiled vs
+#     sweep — still run on every PR without paying
 #     for representative timings. Run the binaries directly for real
 #     BENCH_*.json numbers.
 #   - `ctest -L reuse -LE perf` — the reuse-distance memory model
@@ -91,8 +89,8 @@ for san in "${sans[@]}"; do
   [ "${san}" = thread ] && ran_thread=1
   bdir="build-ci-${san}"
   build_san "${san}" "${bdir}"
-  echo "=== ${san}: batched + concurrency labels ==="
-  ctest --test-dir "${bdir}" -L 'batched|concurrency' --output-on-failure
+  echo "=== ${san}: concurrency label ==="
+  ctest --test-dir "${bdir}" -L concurrency --output-on-failure
   echo "=== ${san}: perf smoke ==="
   ctest --test-dir "${bdir}" -L perf --output-on-failure
   echo "=== ${san}: reuse model label ==="
