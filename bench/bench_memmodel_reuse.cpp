@@ -7,9 +7,13 @@
 // (≤10% relative MPI error on at least 3 of the 5 presets, ≥2x cost
 // reduction) and exits nonzero on violation, so it doubles as a ctest
 // (labels: perf, reuse).
+// Every cost is process CPU time (the kernels run on one thread), best of
+// PP_SAMPLES runs per side, so other processes sharing the host do not move
+// the cost ratio.
 // Writes BENCH_reuse.json. PP_SMOKE=1 shrinks the kernel; the gates still
 // run.
-#include <chrono>
+#include <time.h>
+
 #include <cmath>
 #include <fstream>
 #include <iostream>
@@ -28,10 +32,11 @@ using namespace pprophet;
 
 namespace {
 
-double ms_since(std::chrono::steady_clock::time_point t0) {
-  return std::chrono::duration<double, std::milli>(
-             std::chrono::steady_clock::now() - t0)
-      .count();
+double cpu_ms() {
+  timespec ts{};
+  clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
+  return static_cast<double>(ts.tv_sec) * 1e3 +
+         static_cast<double>(ts.tv_nsec) / 1e6;
 }
 
 struct Mpi {
@@ -60,8 +65,8 @@ Mpi section_mpi(const tree::ProgramTree& t) {
 
 int main() {
   const bool smoke = util::env_long("PP_SMOKE", 0) != 0;
-  // Min-of-N for both the profiled pass and every replay: the cost
-  // contract compares steady-state work, not scheduler noise.
+  // Min-of-N for the profiled pass, every replay and every projection: the
+  // cost contract compares steady-state work, not scheduler noise.
   const long samples = util::env_long("PP_SAMPLES", 3);
   // Every preset runs a 64x-scaled hierarchy (MachinePreset::scaled_cache),
   // preserving each preset's footprint:LLC ratio at a feasible kernel size.
@@ -95,9 +100,9 @@ int main() {
     cfg.cache = home.scaled_cache(kShift);
     cfg.cost.dram = home.cost.dram;
     cfg.collect_reuse = true;
-    const auto t0 = std::chrono::steady_clock::now();
+    const double t0 = cpu_ms();
     workloads::KernelRun run = workloads::run_jacobi(params, cfg);
-    const double ms = ms_since(t0);
+    const double ms = cpu_ms() - t0;
     if (s == 0 || ms < profile_ms) profile_ms = ms;
     profiled = std::move(run);
   }
@@ -117,19 +122,24 @@ int main() {
       workloads::KernelConfig cfg;
       cfg.cache = preset.scaled_cache(kShift);
       cfg.cost.dram = preset.cost.dram;
-      const auto t0 = std::chrono::steady_clock::now();
+      const double t0 = cpu_ms();
       const workloads::KernelRun run = workloads::run_jacobi(params, cfg);
-      const double ms = ms_since(t0);
+      const double ms = cpu_ms() - t0;
       if (s == 0 || ms < replay_ms) replay_ms = ms;
       sim = section_mpi(run.tree);
     }
     replay_total_ms += replay_ms;
 
-    const auto t0 = std::chrono::steady_clock::now();
+    double project_ms = 0.0;
     tree::ProgramTree priced;
-    priced.root = profiled.tree.root->clone();
-    reuse::project_tree(priced, preset.scaled_cache(kShift), preset.cost.dram);
-    const double project_ms = ms_since(t0);
+    for (long s = 0; s < samples; ++s) {
+      const double t0 = cpu_ms();
+      priced.root = profiled.tree.root->clone();
+      reuse::project_tree(priced, preset.scaled_cache(kShift),
+                          preset.cost.dram);
+      const double ms = cpu_ms() - t0;
+      if (s == 0 || ms < project_ms) project_ms = ms;
+    }
     project_total_ms += project_ms;
     const Mpi model = section_mpi(priced);
 

@@ -101,20 +101,21 @@ bool parse_chunk(const std::string& v, std::uint64_t& out) {
   return out != 0;
 }
 
-bool parse_threads(const std::string& v, std::vector<CoreCount>& out) {
-  out.clear();
-  std::istringstream is(v);
-  std::string tok;
-  while (std::getline(is, tok, ',')) {
-    try {
-      const long n = std::stol(tok);
-      if (n <= 0) return false;
-      out.push_back(static_cast<CoreCount>(n));
-    } catch (...) {
-      return false;
-    }
+/// A core or thread count in [1, kMaxCoreCount]; false on anything else,
+/// so an out-of-range value is refused rather than narrowed.
+bool parse_core_count(const std::string& v, CoreCount& out) {
+  try {
+    const long n = std::stol(v);
+    if (n <= 0 || n > static_cast<long>(kMaxCoreCount)) return false;
+    out = static_cast<CoreCount>(n);
+    return true;
+  } catch (...) {
+    return false;
   }
-  return !out.empty();
+}
+
+bool parse_threads(const std::string& v, std::vector<CoreCount>& out) {
+  return parse_list<CoreCount>(v, out, parse_core_count);
 }
 
 /// Resolves one preset name, printing the shared one-line diagnostic on
@@ -1007,27 +1008,25 @@ std::optional<Options> parse_args(const std::vector<std::string>& args,
     } else if (a == "--threads") {
       const auto v = need_value();
       if (!v || !parse_threads(*v, opts.threads)) {
-        err << "pprophet: bad --threads (use e.g. 2,4,8)\n";
+        err << "pprophet: bad --threads (use e.g. 2,4,8; each 1.."
+            << kMaxCoreCount << ")\n";
         return std::nullopt;
       }
     } else if (a == "--cores") {
       const auto v = need_value();
       if (!v) return std::nullopt;
-      const long n = std::strtol(v->c_str(), nullptr, 10);
-      if (n <= 0) {
-        err << "pprophet: bad --cores\n";
+      if (!parse_core_count(*v, opts.cores)) {
+        err << "pprophet: bad --cores (1.." << kMaxCoreCount << ")\n";
         return std::nullopt;
       }
-      opts.cores = static_cast<CoreCount>(n);
     } else if (a == "--target-threads") {
       const auto v = need_value();
       if (!v) return std::nullopt;
-      const long n = std::strtol(v->c_str(), nullptr, 10);
-      if (n <= 0) {
-        err << "pprophet: bad --target-threads\n";
+      if (!parse_core_count(*v, opts.target_threads)) {
+        err << "pprophet: bad --target-threads (1.." << kMaxCoreCount
+            << ")\n";
         return std::nullopt;
       }
-      opts.target_threads = static_cast<CoreCount>(n);
     } else if (a == "--methods") {
       const auto v = need_value();
       if (!v || !parse_list<core::Method>(*v, opts.methods, parse_method)) {

@@ -354,8 +354,12 @@ CriticalPathProfile critical_path_profile(const tree::ProgramTree& tree) {
   return critical_path_profile(CompiledTree::compile(tree));
 }
 
-Advice advise_configurations(const CompiledTree& compiled,
-                             const AdviseOptions& options) {
+namespace {
+
+/// advise_configurations without the baseline's speedup and efficiency:
+/// the caller prices the baseline, so advise() can do it through its memo.
+Advice configurations_without_baseline(const CompiledTree& compiled,
+                                       const AdviseOptions& options) {
   check_grid(options.grid);
   // Historical recommend() had no chunk axis: empty inherits base.chunk.
   const std::vector<std::uint64_t> chunks =
@@ -392,11 +396,23 @@ Advice advise_configurations(const CompiledTree& compiled,
   adv.baseline.schedule = base.schedule;
   adv.baseline.chunk = base.chunk;
   adv.baseline.threads = adv.target_threads;
-  adv.baseline.speedup = predict(compiled, adv.target_threads, base).speedup;
-  adv.baseline.efficiency =
-      adv.baseline.speedup / static_cast<double>(adv.target_threads);
-
   adv.profile = critical_path_profile(compiled);
+  return adv;
+}
+
+void set_baseline_speedup(Advice& adv, double speedup) {
+  adv.baseline.speedup = speedup;
+  adv.baseline.efficiency =
+      speedup / static_cast<double>(adv.target_threads);
+}
+
+}  // namespace
+
+Advice advise_configurations(const CompiledTree& compiled,
+                             const AdviseOptions& options) {
+  Advice adv = configurations_without_baseline(compiled, options);
+  set_baseline_speedup(
+      adv, predict(compiled, adv.target_threads, synth_base(options)).speedup);
   return adv;
 }
 
@@ -406,14 +422,16 @@ Advice advise_configurations(const tree::ProgramTree& tree,
 }
 
 Advice advise(const CompiledTree& compiled, const AdviseOptions& options) {
-  Advice adv = advise_configurations(compiled, options);
+  Advice adv = configurations_without_baseline(compiled, options);
   const PredictOptions base = synth_base(options);
   const CoreCount target = adv.target_threads;
 
   Pricer pricer(adv.stats);
-  // Seed the memo with the unedited sections at the baseline configuration;
-  // every edit then re-emulates exactly the section its digest salt moved.
+  // Pricing the baseline seeds the memo with the unedited sections at the
+  // baseline configuration; every edit then re-emulates exactly the section
+  // its digest salt moved.
   const double before = pricer.price(compiled, target, base);
+  set_baseline_speedup(adv, before);
 
   std::vector<Action> actions;
   for (const EditCandidate& ec :

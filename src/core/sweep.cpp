@@ -168,16 +168,24 @@ SweepResult sweep_points(const tree::CompiledTree& compiled,
   for (std::size_t i = 0; i < points.size(); ++i) {
     const SweepPoint cp = canonical(points[i]);
     for (std::uint32_t s = 0; s < nsec; ++s) {
+      // With β = 1 the memory model changes nothing: SYN and FF read β only
+      // for the top-level section at the point's thread count, and use the
+      // literal 1.0 with the model off. Fold the twin onto the off point,
+      // and price the job from that folded point.
+      SweepPoint sp = cp;
+      if (sp.memory_model && compiled.section_burden(s, sp.threads) == 1.0) {
+        sp.memory_model = false;
+      }
       MemoKey key;
       key.section_digest = compiled.section_digest(s);
-      key.method = cp.method;
-      key.paradigm = cp.paradigm;
-      key.schedule = cp.schedule;
-      key.chunk = cp.chunk;
-      key.threads = cp.threads;
-      key.memory_model = cp.memory_model;
+      key.method = sp.method;
+      key.paradigm = sp.paradigm;
+      key.schedule = sp.schedule;
+      key.chunk = sp.chunk;
+      key.threads = sp.threads;
+      key.memory_model = sp.memory_model;
       const auto [it, inserted] = slot_of.try_emplace(key, jobs.size());
-      if (inserted) jobs.push_back(Job{s, cp});
+      if (inserted) jobs.push_back(Job{s, sp});
       cell_slots[i * nsec + s] = it->second;
     }
   }

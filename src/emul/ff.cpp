@@ -48,7 +48,7 @@ class FfEngine {
   struct Context {
     NodeRef sec{};
     SectionHandle index;
-    std::unique_ptr<IterScheduler> sched;  // dynamic contexts pull from this
+    std::optional<IterScheduler> sched;  // dynamic contexts pull from this
     bool dynamic = false;
     Cycles spawn_time = 0;
     std::uint64_t outstanding = 0;  ///< iterations not yet completed
@@ -159,9 +159,8 @@ class FfEngine {
     if (cfg_.schedule == OmpSchedule::Dynamic ||
         cfg_.schedule == OmpSchedule::Guided) {
       ctx->dynamic = true;
-      ctx->sched = runtime::make_scheduler(cfg_.schedule,
-                                           view_.trip_count(ctx->index),
-                                           cfg_.num_threads, cfg_.chunk);
+      ctx->sched.emplace(cfg_.schedule, view_.trip_count(ctx->index),
+                         cfg_.num_threads, cfg_.chunk);
       dynamic_stack_.push_back(ctx);
     } else {
       // Static policies: pre-assign iterations. Nested contexts map rank r
@@ -169,12 +168,12 @@ class FfEngine {
       // which CPUs are actually busy. This is the paper's documented FF
       // flaw (Figure 7): two sibling nested loops starting on different
       // CPUs can pile their long iterations onto the same CPU.
-      auto sched = runtime::make_scheduler(cfg_.schedule,
-                                           view_.trip_count(ctx->index),
-                                           cfg_.num_threads, cfg_.chunk);
+      IterScheduler sched(cfg_.schedule, view_.trip_count(ctx->index),
+                          cfg_.num_threads, cfg_.chunk);
       for (std::uint32_t rank = 0; rank < cfg_.num_threads; ++rank) {
         const std::uint32_t cpu = (parent_cpu + rank) % cfg_.num_threads;
-        while (const auto range = sched->next(rank)) {
+        runtime::RankCursor at = sched.cursor(rank);
+        while (const auto range = sched.next(at)) {
           for (std::uint64_t i = range->begin; i < range->end; ++i) {
             Cursor c;
             c.ctx = ctx;
@@ -229,7 +228,8 @@ class FfEngine {
          ++it) {
       Context* ctx = *it;
       if (ctx->done || ctx->unassigned == 0) continue;
-      if (const auto range = ctx->sched->next(k)) {
+      runtime::RankCursor at = ctx->sched->cursor(k);
+      if (const auto range = ctx->sched->next(at)) {
         ctx->unassigned -= range->size();
         cpu.free_at = std::max(cpu.free_at, ctx->spawn_time) +
                       cfg_.overheads.dynamic_dispatch;

@@ -41,6 +41,13 @@ struct FlatChildWalk {
 /// drain it before taking the next: no allocation per thread, and it rewinds
 /// to the front whenever it empties. A step that queues more than kCapacity
 /// ops is a bug in the body and throws.
+///
+/// A compute-only Exec (no mem part, no traffic) pushed right behind another
+/// compute-only Exec that is still queued merges into it. The machine charges
+/// compute-only work in exact integer cycles at any dilation, and popping the
+/// second op touches no shared state, so the merged op ends in the same cycle
+/// as the pair with one event fewer. Parts whose sum would reach
+/// kMaxOpCycles stay separate.
 class OpQueue {
  public:
   static constexpr std::size_t kCapacity = 6;
@@ -48,6 +55,14 @@ class OpQueue {
   bool empty() const { return head_ == size_; }
 
   void push(const Op& op) {
+    if (!empty() && compute_only(op)) {
+      Op& tail = ops_[size_ - 1];
+      if (compute_only(tail) && tail.compute < kMaxOpCycles &&
+          op.compute < kMaxOpCycles - tail.compute) {
+        tail.compute += op.compute;
+        return;
+      }
+    }
     if (size_ == kCapacity) throw std::logic_error("OpQueue overflow");
     ops_[size_++] = op;
   }
@@ -59,6 +74,10 @@ class OpQueue {
   }
 
  private:
+  static bool compute_only(const Op& op) {
+    return op.kind == Op::Kind::Exec && op.mem == 0 && op.traffic_mbps == 0.0;
+  }
+
   std::array<Op, kCapacity> ops_{};
   std::uint8_t head_ = 0;
   std::uint8_t size_ = 0;

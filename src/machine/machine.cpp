@@ -18,12 +18,10 @@ constexpr Cycles kNever = std::numeric_limits<Cycles>::max();
 // Remaining work is fixed point with kFrac fractional bits, so a charge at
 // dilation 1 is exact integer arithmetic and only a dilated split rounds
 // (each part by under one unit, 2^-kFrac cycle, for ops below 2^37 cycles).
+// kMaxOpCycles (machine.hpp) leaves headroom for context-switch charges.
 using Work = std::uint64_t;
 constexpr unsigned kFrac = 16;
 constexpr Work kOneCycle = Work{1} << kFrac;
-/// Longest Exec op part the fixed-point format holds with headroom for
-/// context-switch charges (2^46 cycles, about 20 hours at 1 GHz).
-constexpr Cycles kMaxOpCycles = Cycles{1} << 46;
 
 // Traffic is summed in fixed point too, so removing an op's traffic
 // restores the demand bit for bit. An op's traffic must stay below
@@ -93,6 +91,10 @@ struct Machine::Mutex {
 Machine::Machine(const MachineConfig& cfg) : cfg_(cfg), bw_(cfg.bandwidth) {
   if (cfg_.cores == 0) throw std::invalid_argument("machine needs >= 1 core");
   cores_.resize(cfg_.cores);
+  idle_.resize(cfg_.cores);
+  running_.resize(cfg_.cores);
+  unarmed_.resize(cfg_.cores);
+  for (std::uint32_t i = 0; i < cfg_.cores; ++i) idle_.insert(i);
 }
 
 Machine::~Machine() = default;
@@ -198,11 +200,12 @@ void Machine::remove_demand(const SimThread& t) {
 }
 
 void Machine::schedule_quantum_checks() {
-  for (Core& c : cores_) {
-    if (c.running == kNoThread || c.quantum_seq != 0) continue;
+  unarmed_.for_each([this](std::uint32_t i) {
+    Core& c = cores_[i];
     c.quantum_due = std::max(now_, c.dispatched_at + cfg_.quantum);
     c.quantum_seq = ++quantum_seq_;
-  }
+    unarmed_.erase(i);
+  });
 }
 
 void Machine::make_ready(ThreadId tid) {
@@ -217,11 +220,9 @@ void Machine::make_ready(ThreadId tid) {
   t.state = SimThread::State::Ready;
   t.blocked_on_lock = false;
   ready_.push_back(tid);
-  for (std::uint32_t i = 0; i < cores_.size(); ++i) {
-    if (cores_[i].running == kNoThread) {
-      dispatch(i);
-      return;
-    }
+  if (const std::uint32_t idle = idle_.first(); idle != ~0u) {
+    dispatch(idle);
+    return;
   }
   // No idle core: arm preemption so the queued thread eventually runs.
   schedule_quantum_checks();
@@ -243,6 +244,9 @@ void Machine::dispatch(std::uint32_t core_idx) {
   t.running_since = now_;
   core.running = tid;
   core.dispatched_at = now_;
+  idle_.erase(core_idx);
+  running_.insert(core_idx);
+  unarmed_.insert(core_idx);
   if (t.was_preempted) {
     // Re-dispatch cost: kernel path + cache refill, modelled as extra
     // compute prepended to whatever the thread was doing.
@@ -272,6 +276,9 @@ std::uint32_t Machine::vacate_core(SimThread& t) {
   cores_[core_idx].running = kNoThread;
   cores_[core_idx].op_due = kNever;
   cores_[core_idx].quantum_seq = 0;
+  idle_.insert(core_idx);
+  running_.erase(core_idx);
+  unarmed_.erase(core_idx);
   return core_idx;
 }
 
@@ -425,13 +432,14 @@ MachineStats Machine::run() {
     }
     // The earliest slot; a same-cycle tie goes to a quantum check (lowest
     // arming sequence first), else to the op slot of the lowest core index.
+    // Idle cores hold neither slot, so only running cores are scanned.
     std::uint32_t next = ~0u;
     bool quantum = false;
     Cycles due = kNever;
     std::uint64_t seq = 0;
-    for (std::uint32_t i = 0; i < cores_.size(); ++i) {
+    running_.for_each([&](std::uint32_t i) {
       Core& c = cores_[i];
-      if (rearm && c.running != kNoThread) {
+      if (rearm) {
         SimThread& t = thread(c.running);
         if (t.has_op) {
           charge(t, charged_at);
@@ -451,12 +459,13 @@ MachineStats Machine::run() {
         quantum = false;
         due = c.op_due;
       }
-    }
+    });
     if (next == ~0u) break;
     assert(due >= now_);
     ++stats_.events;
     if (quantum) {
       cores_[next].quantum_seq = 0;
+      unarmed_.insert(next);
       if (ready_.empty()) continue;  // nothing waiting; keep running
       now_ = due;
       preempt(next);

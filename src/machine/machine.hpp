@@ -25,7 +25,9 @@
 // the op slot (when the running thread's Exec op completes) and the quantum
 // slot (when the armed preemption check falls due). run() takes the earliest
 // slot; same-cycle events go quantum checks first, in arming order, then op
-// completions by core index.
+// completions by core index. The idle, running and quantum-unarmed cores are
+// kept as bitsets, so the idle-core search, the quantum arming pass and the
+// slot scan visit only the cores they concern, in ascending index order.
 //
 // Progress is charged lazily and exactly. A core's op slot is written only
 // when its thread is dispatched, starts an Exec op or leaves the core, and
@@ -35,6 +37,7 @@
 // included.
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <deque>
 #include <memory>
@@ -50,6 +53,11 @@ using ThreadId = std::uint32_t;
 using WaitHandle = std::uint32_t;
 
 inline constexpr ThreadId kNoThread = ~0u;
+
+/// Exclusive bound on each part (compute, mem) of an Exec op: the machine
+/// throws on a part of 2^46 cycles (about 20 hours at 1 GHz) or more, which
+/// keeps its fixed-point progress arithmetic exact.
+inline constexpr Cycles kMaxOpCycles = Cycles{1} << 46;
 
 struct MachineConfig {
   CoreCount cores = 4;
@@ -185,6 +193,57 @@ class Machine {
  private:
   struct SimThread;
   struct Core;
+
+  /// A set of core indices, one bit per core, for any core count: members
+  /// are visited in ascending index order and empty words cost one test.
+  /// Up to 64 cores the bits live inline, so a machine run allocates
+  /// nothing for its core sets.
+  class CoreSet {
+   public:
+    void resize(std::uint32_t cores) {
+      nwords_ = (cores + 63) / 64;
+      inline_ = 0;
+      if (nwords_ > 1) spill_.assign(nwords_, 0);
+    }
+    void insert(std::uint32_t i) { words()[i >> 6] |= bit(i); }
+    void erase(std::uint32_t i) { words()[i >> 6] &= ~bit(i); }
+    /// The lowest member, or ~0u when the set is empty.
+    std::uint32_t first() const {
+      const std::uint64_t* w = words();
+      for (std::size_t k = 0; k < nwords_; ++k) {
+        if (w[k] != 0) return index(k, w[k]);
+      }
+      return ~0u;
+    }
+    /// Calls f(i) for each member in ascending order. Each word is read
+    /// once, before its members are visited, so f may erase the member it
+    /// is given.
+    template <class F>
+    void for_each(F&& f) const {
+      const std::uint64_t* w = words();
+      for (std::size_t k = 0; k < nwords_; ++k) {
+        for (std::uint64_t bits = w[k]; bits != 0; bits &= bits - 1) {
+          f(index(k, bits));
+        }
+      }
+    }
+
+   private:
+    std::uint64_t* words() { return nwords_ > 1 ? spill_.data() : &inline_; }
+    const std::uint64_t* words() const {
+      return nwords_ > 1 ? spill_.data() : &inline_;
+    }
+    static std::uint64_t bit(std::uint32_t i) {
+      return std::uint64_t{1} << (i & 63);
+    }
+    static std::uint32_t index(std::size_t k, std::uint64_t bits) {
+      return static_cast<std::uint32_t>(k * 64 + std::countr_zero(bits));
+    }
+    std::size_t nwords_ = 0;
+    std::uint64_t inline_ = 0;           ///< the bits, up to 64 cores
+    std::vector<std::uint64_t> spill_;  ///< the bits, above 64 cores
+  };
+
   struct WaitObject;
   struct Mutex;
 
@@ -214,6 +273,12 @@ class Machine {
   std::vector<std::unique_ptr<SimThread[]>> thread_chunks_;
   std::uint32_t thread_count_ = 0;
   std::vector<Core> cores_;
+  // Core sets kept in step with each Core: idle (no thread), running, and
+  // running with no quantum check armed. Every scan over cores walks one
+  // of them.
+  CoreSet idle_;
+  CoreSet running_;
+  CoreSet unarmed_;
   std::vector<WaitObject> waits_;
   std::vector<Mutex> mutexes_;  // indexed by LockId (grown on demand)
   std::deque<ThreadId> ready_;

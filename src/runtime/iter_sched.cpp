@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <stdexcept>
-#include <vector>
 
 namespace pprophet::runtime {
 
@@ -16,122 +15,61 @@ const char* to_string(OmpSchedule s) {
   return "?";
 }
 
-namespace {
-
-/// schedule(static, chunk): chunk k goes to thread k mod t; per-rank state
-/// is just the next chunk index.
-class StaticCyclicScheduler final : public IterScheduler {
- public:
-  StaticCyclicScheduler(std::uint64_t n, std::uint32_t t, std::uint64_t chunk)
-      : n_(n), t_(t), chunk_(std::max<std::uint64_t>(1, chunk)),
-        next_chunk_(t, 0) {
-    for (std::uint32_t r = 0; r < t; ++r) next_chunk_[r] = r;
-  }
-
-  std::optional<IterRange> next(std::uint32_t rank) override {
-    const std::uint64_t k = next_chunk_.at(rank);
-    const std::uint64_t begin = k * chunk_;
-    if (begin >= n_) return std::nullopt;
-    next_chunk_[rank] = k + t_;
-    return IterRange{begin, std::min(n_, begin + chunk_)};
-  }
-
- private:
-  std::uint64_t n_;
-  std::uint32_t t_;
-  std::uint64_t chunk_;
-  std::vector<std::uint64_t> next_chunk_;
-};
-
-/// schedule(static): one contiguous block per thread, sized as OpenMP
-/// implementations do (first n%t threads get one extra iteration).
-class StaticBlockScheduler final : public IterScheduler {
- public:
-  StaticBlockScheduler(std::uint64_t n, std::uint32_t t) : n_(n), t_(t) {}
-
-  std::optional<IterRange> next(std::uint32_t rank) override {
-    if (rank >= t_ || given_.size() <= rank) given_.resize(t_, false);
-    if (given_[rank]) return std::nullopt;
-    given_[rank] = true;
-    const std::uint64_t base = n_ / t_;
-    const std::uint64_t extra = n_ % t_;
-    const std::uint64_t begin =
-        rank * base + std::min<std::uint64_t>(rank, extra);
-    const std::uint64_t size = base + (rank < extra ? 1 : 0);
-    if (size == 0) return std::nullopt;
-    return IterRange{begin, begin + size};
-  }
-
- private:
-  std::uint64_t n_;
-  std::uint32_t t_;
-  std::vector<bool> given_;
-};
-
-/// schedule(dynamic, chunk): shared counter, first come first served.
-class DynamicScheduler final : public IterScheduler {
- public:
-  DynamicScheduler(std::uint64_t n, std::uint64_t chunk)
-      : n_(n), chunk_(std::max<std::uint64_t>(1, chunk)) {}
-
-  std::optional<IterRange> next(std::uint32_t /*rank*/) override {
-    if (next_ >= n_) return std::nullopt;
-    const std::uint64_t begin = next_;
-    next_ = std::min(n_, next_ + chunk_);
-    return IterRange{begin, next_};
-  }
-
- private:
-  std::uint64_t n_;
-  std::uint64_t chunk_;
-  std::uint64_t next_ = 0;
-};
-
-/// schedule(guided, chunk): each fetch takes remaining/num_threads
-/// iterations (at least `chunk`), so early chunks are large and the tail is
-/// fine-grained — the standard OpenMP guided self-scheduling.
-class GuidedScheduler final : public IterScheduler {
- public:
-  GuidedScheduler(std::uint64_t n, std::uint32_t t, std::uint64_t chunk)
-      : n_(n), t_(t), min_chunk_(std::max<std::uint64_t>(1, chunk)) {}
-
-  std::optional<IterRange> next(std::uint32_t /*rank*/) override {
-    if (next_ >= n_) return std::nullopt;
-    const std::uint64_t remaining = n_ - next_;
-    const std::uint64_t take =
-        std::max(min_chunk_, remaining / t_);
-    const std::uint64_t begin = next_;
-    next_ = std::min(n_, next_ + take);
-    return IterRange{begin, next_};
-  }
-
- private:
-  std::uint64_t n_;
-  std::uint32_t t_;
-  std::uint64_t min_chunk_;
-  std::uint64_t next_ = 0;
-};
-
-}  // namespace
-
-std::unique_ptr<IterScheduler> make_scheduler(OmpSchedule kind,
-                                              std::uint64_t total_iters,
-                                              std::uint32_t num_threads,
-                                              std::uint64_t chunk) {
+IterScheduler::IterScheduler(OmpSchedule kind, std::uint64_t total_iters,
+                             std::uint32_t num_threads, std::uint64_t chunk)
+    : kind_(kind),
+      n_(total_iters),
+      t_(num_threads),
+      chunk_(std::max<std::uint64_t>(1, chunk)) {
   if (num_threads == 0) {
     throw std::invalid_argument("scheduler needs >= 1 thread");
   }
-  switch (kind) {
-    case OmpSchedule::StaticCyclic:
-      return std::make_unique<StaticCyclicScheduler>(total_iters, num_threads,
-                                                     chunk);
-    case OmpSchedule::StaticBlock:
-      return std::make_unique<StaticBlockScheduler>(total_iters, num_threads);
+}
+
+RankCursor IterScheduler::cursor(std::uint32_t rank) const {
+  RankCursor c;
+  c.rank = rank;
+  // schedule(static, chunk): chunk k goes to thread k mod t.
+  if (kind_ == OmpSchedule::StaticCyclic) c.next_chunk = rank;
+  return c;
+}
+
+std::optional<IterRange> IterScheduler::next(RankCursor& at) {
+  switch (kind_) {
+    case OmpSchedule::StaticCyclic: {
+      const std::uint64_t begin = at.next_chunk * chunk_;
+      if (begin >= n_ || at.rank >= t_) return std::nullopt;
+      at.next_chunk += t_;
+      return IterRange{begin, std::min(n_, begin + chunk_)};
+    }
+    case OmpSchedule::StaticBlock: {
+      // One contiguous block per thread, sized as OpenMP implementations
+      // do (the first n%t threads get one extra iteration).
+      if (at.next_chunk != 0 || at.rank >= t_) return std::nullopt;
+      at.next_chunk = 1;
+      const std::uint64_t base = n_ / t_;
+      const std::uint64_t extra = n_ % t_;
+      const std::uint64_t begin =
+          at.rank * base + std::min<std::uint64_t>(at.rank, extra);
+      const std::uint64_t size = base + (at.rank < extra ? 1 : 0);
+      if (size == 0) return std::nullopt;
+      return IterRange{begin, begin + size};
+    }
     case OmpSchedule::Dynamic:
-      return std::make_unique<DynamicScheduler>(total_iters, chunk);
-    case OmpSchedule::Guided:
-      return std::make_unique<GuidedScheduler>(total_iters, num_threads,
-                                               chunk);
+    case OmpSchedule::Guided: {
+      // dynamic: first come first served, `chunk` at a time. guided: each
+      // fetch takes remaining/num_threads iterations (at least `chunk`), so
+      // early chunks are large and the tail is fine-grained — the standard
+      // OpenMP guided self-scheduling.
+      if (shared_ >= n_) return std::nullopt;
+      const std::uint64_t take =
+          kind_ == OmpSchedule::Dynamic
+              ? chunk_
+              : std::max(chunk_, (n_ - shared_) / t_);
+      const std::uint64_t begin = shared_;
+      shared_ = std::min(n_, shared_ + take);
+      return IterRange{begin, shared_};
+    }
   }
   throw std::invalid_argument("unknown schedule kind");
 }

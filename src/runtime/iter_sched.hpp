@@ -11,7 +11,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <string>
 
@@ -33,18 +32,38 @@ struct IterRange {
   std::uint64_t size() const { return end - begin; }
 };
 
-/// Hands out iteration ranges to team members. Not thread-safe in the native
-/// sense — all calls happen at DES instants.
-class IterScheduler {
- public:
-  virtual ~IterScheduler() = default;
-  /// Next chunk for team member `rank`, or nullopt when the member is done.
-  virtual std::optional<IterRange> next(std::uint32_t rank) = 0;
+/// One team member's place in a schedule. Static policies keep their
+/// per-rank progress here, so it lives with the rank; dynamic and guided
+/// hand out from the team's shared counter and only read `rank`.
+struct RankCursor {
+  std::uint32_t rank = 0;
+  /// static,c: index of the rank's next chunk; static: 1 once the rank's
+  /// block was handed out.
+  std::uint64_t next_chunk = 0;
 };
 
-std::unique_ptr<IterScheduler> make_scheduler(OmpSchedule kind,
-                                              std::uint64_t total_iters,
-                                              std::uint32_t num_threads,
-                                              std::uint64_t chunk);
+/// Hands out iteration ranges to team members: a value type with no heap
+/// state, holding the shared counter of dynamic and guided schedules. Not
+/// thread-safe in the native sense — all calls happen at DES instants.
+class IterScheduler {
+ public:
+  /// Throws std::invalid_argument when `num_threads` is 0.
+  IterScheduler(OmpSchedule kind, std::uint64_t total_iters,
+                std::uint32_t num_threads, std::uint64_t chunk);
+
+  /// Fresh progress for team member `rank`.
+  RankCursor cursor(std::uint32_t rank) const;
+
+  /// Next chunk for the member `at` stands for (advancing it), or nullopt
+  /// when the member is done.
+  std::optional<IterRange> next(RankCursor& at);
+
+ private:
+  OmpSchedule kind_;
+  std::uint64_t n_;
+  std::uint32_t t_;
+  std::uint64_t chunk_;     ///< at least 1
+  std::uint64_t shared_ = 0;  ///< dynamic/guided: next unassigned iteration
+};
 
 }  // namespace pprophet::runtime

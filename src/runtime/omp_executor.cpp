@@ -25,14 +25,15 @@ template <class View>
 struct TeamContext {
   typename View::NodeRef sec{};
   typename View::SectionHandle index;
-  std::unique_ptr<IterScheduler> sched;
+  IterScheduler sched;  ///< shared progress; static ranks keep their own
   std::uint32_t size = 0;
   std::uint32_t arrivals = 0;
   machine::WaitHandle done = 0;
   LeafCostModel leaf{};
 
-  TeamContext(typename View::NodeRef s, typename View::SectionHandle h)
-      : sec(s), index(std::move(h)) {}
+  TeamContext(typename View::NodeRef s, typename View::SectionHandle h,
+              const IterScheduler& sc)
+      : sec(s), index(std::move(h)), sched(sc) {}
 };
 
 /// Per-run shared services: configuration, team ownership, synth-overhead
@@ -63,11 +64,12 @@ struct OmpRuntime {
 
   TeamContext<View>* open_team(Machine& m, typename View::NodeRef sec,
                                const LeafCostModel& leaf) {
+    typename View::SectionHandle index = view.section(sec);
+    const IterScheduler sched(cfg.schedule, view.trip_count(index),
+                              cfg.num_threads, cfg.chunk);
     auto team =
-        std::make_unique<TeamContext<View>>(sec, view.section(sec));
+        std::make_unique<TeamContext<View>>(sec, std::move(index), sched);
     team->size = cfg.num_threads;
-    team->sched = make_scheduler(cfg.schedule, view.trip_count(team->index),
-                                 cfg.num_threads, cfg.chunk);
     team->done = m.make_event();
     team->leaf = leaf;
     teams.push_back(std::move(team));
@@ -115,7 +117,8 @@ class OmpBody final : public machine::ThreadBody {
   /// Team worker with the given rank (>= 1; the master is rank 0).
   OmpBody(OmpRuntime<View>& rt, TeamContext<View>* team, std::uint32_t rank)
       : rt_(rt) {
-    stack_.push_back(TeamFrame{team, rank, /*is_master=*/false});
+    stack_.push_back(TeamFrame{team, team->sched.cursor(rank),
+                               /*is_master=*/false});
   }
 
   std::optional<Op> next(Machine& m, ThreadId self) override {
@@ -139,7 +142,7 @@ class OmpBody final : public machine::ThreadBody {
   /// Participation in one parallel region.
   struct TeamFrame {
     TeamContext<View>* team = nullptr;
-    std::uint32_t rank = 0;
+    RankCursor at{};  ///< the member's rank and its static progress
     bool is_master = false;
     enum class Phase : std::uint8_t { Fetch, Arrive, WaitDone, Done };
     Phase phase = Phase::Fetch;
@@ -195,7 +198,8 @@ class OmpBody final : public machine::ThreadBody {
         for (std::uint32_t r = 1; r < rt_.cfg.num_threads; ++r) {
           m.spawn_thread(std::make_unique<OmpBody>(rt_, team, r));
         }
-        stack_.push_back(TeamFrame{team, 0, /*is_master=*/true});
+        stack_.push_back(TeamFrame{team, team->sched.cursor(0),
+                                   /*is_master=*/true});
         return;
       }
       case NodeKind::Task:
@@ -216,7 +220,7 @@ class OmpBody final : public machine::ThreadBody {
                        0, false});
           return;
         }
-        const std::optional<IterRange> r = team.sched->next(f.rank);
+        const std::optional<IterRange> r = team.sched.next(f.at);
         if (!r.has_value()) {
           f.phase = TeamFrame::Phase::Arrive;
           return;

@@ -116,6 +116,34 @@ std::vector<std::uint64_t> parse_u64_list(const JsonValue& req,
   return fallback;
 }
 
+/// A core or thread count from a request: positive and at most
+/// kMaxCoreCount, never narrowed.
+CoreCount core_count(std::uint64_t n, const char* field) {
+  if (n == 0) throw BadRequest(std::string(field) + ": must be positive");
+  if (n > kMaxCoreCount) {
+    throw BadRequest(std::string(field) + ": at most " +
+                     std::to_string(kMaxCoreCount));
+  }
+  return static_cast<CoreCount>(n);
+}
+
+/// The "threads" list (or scalar), each entry bounded by core_count.
+std::vector<CoreCount> parse_thread_counts(
+    const JsonValue& req, std::vector<std::uint64_t> fallback) {
+  std::vector<CoreCount> out;
+  for (const std::uint64_t t :
+       parse_u64_list(req, "threads", "threads", std::move(fallback))) {
+    out.push_back(core_count(t, "threads"));
+  }
+  return out;
+}
+
+/// The "cores" field, or `fallback` when absent.
+CoreCount parse_cores(const JsonValue& req, CoreCount fallback) {
+  const JsonValue* v = req.find("cores");
+  return v == nullptr ? fallback : core_count(v->as_u64(), "cores");
+}
+
 /// Everything a predict/sweep request pins down, in canonical form.
 struct GridSpec {
   core::SweepGrid grid;
@@ -144,18 +172,8 @@ GridSpec parse_grid(const JsonValue& req, CoreCount default_cores) {
       },
       {runtime::OmpSchedule::StaticCyclic});
   spec.grid.chunks = parse_u64_list(req, "chunks", "chunk", {1});
-  const std::vector<std::uint64_t> threads =
-      parse_u64_list(req, "threads", "threads", {2, 4, 8});
-  spec.grid.thread_counts.clear();
-  for (const std::uint64_t t : threads) {
-    spec.grid.thread_counts.push_back(static_cast<CoreCount>(t));
-  }
-  spec.cores = default_cores;
-  if (const JsonValue* v = req.find("cores")) {
-    const std::uint64_t n = v->as_u64();
-    if (n == 0) throw BadRequest("cores: must be positive");
-    spec.cores = static_cast<CoreCount>(n);
-  }
+  spec.grid.thread_counts = parse_thread_counts(req, {2, 4, 8});
+  spec.cores = parse_cores(req, default_cores);
   if (const JsonValue* v = req.find("memory_model")) {
     spec.memory_model = v->as_bool();
   }
@@ -883,18 +901,8 @@ JsonValue Server::handle_recommend(const JsonValue& request,
   }
   core::RecommendOptions ro;
   ro.base = report::paper_options(core::Method::Synthesizer);
-  const std::vector<std::uint64_t> threads =
-      parse_u64_list(request, "threads", "threads", {2, 4, 6, 8, 10, 12});
-  ro.thread_counts.clear();
-  for (const std::uint64_t t : threads) {
-    ro.thread_counts.push_back(static_cast<CoreCount>(t));
-  }
-  CoreCount cores = config_.default_cores;
-  if (const JsonValue* v = request.find("cores")) {
-    const std::uint64_t n = v->as_u64();
-    if (n == 0) throw BadRequest("cores: must be positive");
-    cores = static_cast<CoreCount>(n);
-  }
+  ro.thread_counts = parse_thread_counts(request, {2, 4, 6, 8, 10, 12});
+  const CoreCount cores = parse_cores(request, config_.default_cores);
   ro.base.machine.cores = cores;
   bool memory_model = false;
   if (const JsonValue* v = request.find("memory_model")) {
@@ -971,19 +979,9 @@ JsonValue Server::handle_advise(const JsonValue& request,
   }
   core::AdviseOptions ao;
   ao.base = report::paper_options(core::Method::Synthesizer);
-  const std::vector<std::uint64_t> threads =
-      parse_u64_list(request, "threads", "threads", {2, 4, 6, 8, 10, 12});
-  ao.grid.thread_counts.clear();
-  for (const std::uint64_t t : threads) {
-    ao.grid.thread_counts.push_back(static_cast<CoreCount>(t));
-  }
+  ao.grid.thread_counts = parse_thread_counts(request, {2, 4, 6, 8, 10, 12});
   ao.grid.chunks.clear();  // sweep with the base chunk, as recommend does
-  CoreCount cores = config_.default_cores;
-  if (const JsonValue* v = request.find("cores")) {
-    const std::uint64_t n = v->as_u64();
-    if (n == 0) throw BadRequest("cores: must be positive");
-    cores = static_cast<CoreCount>(n);
-  }
+  const CoreCount cores = parse_cores(request, config_.default_cores);
   ao.base.machine.cores = cores;
   bool memory_model = false;
   if (const JsonValue* v = request.find("memory_model")) {
@@ -994,7 +992,9 @@ JsonValue Server::handle_advise(const JsonValue& request,
     ao.efficiency_knee = v->as_double();
   }
   if (const JsonValue* v = request.find("target_threads")) {
-    ao.target_threads = static_cast<CoreCount>(v->as_u64());
+    // 0 keeps its meaning: the largest count in "threads".
+    const std::uint64_t n = v->as_u64();
+    ao.target_threads = n == 0 ? 0 : core_count(n, "target_threads");
   }
 
   JsonValue canonical;

@@ -20,6 +20,12 @@ using LockId = std::uint32_t;
 /// Number of hardware threads / cores under emulation.
 using CoreCount = std::uint32_t;
 
+/// Largest core or thread count a caller may ask for (serve request fields,
+/// CLI flags). The simulator holds one core record per core and one thread
+/// per requested thread, so untrusted counts are rejected above this bound
+/// rather than narrowed to CoreCount.
+inline constexpr CoreCount kMaxCoreCount = 4096;
+
 /// Nominal clock frequency used to convert cycle counts to seconds and
 /// cache-line traffic to MB/s in the memory model.
 inline constexpr double kClockHz = 1.0e9;

@@ -169,6 +169,19 @@ TEST_F(CliTest, ParseRejectsBadValues) {
   EXPECT_FALSE(parse({"predict", "--tree", "t", "--csv"}));  // missing value
 }
 
+TEST_F(CliTest, ParseRejectsCoreCountsAboveTheBound) {
+  // Refused, not narrowed: 2^32 + 2 would otherwise become 2.
+  for (const std::string& n : {std::to_string(kMaxCoreCount + 1),
+                              std::to_string((1ull << 32) + 2)}) {
+    EXPECT_FALSE(parse({"predict", "--tree", "t", "--cores", n})) << n;
+    EXPECT_FALSE(parse({"predict", "--tree", "t", "--threads", n})) << n;
+    EXPECT_FALSE(parse({"predict", "--tree", "t", "--threads", "2," + n}))
+        << n;
+    EXPECT_FALSE(parse({"advise", "--tree", "t", "--target-threads", n}))
+        << n;
+  }
+}
+
 TEST_F(CliTest, PredictProducesSpeedupTable) {
   Options o;
   o.command = "predict";

@@ -174,6 +174,30 @@ TEST(Advise, TargetThreadsDefaultsToLargestGridEntry) {
   EXPECT_EQ(adv4.baseline.threads, 4u);
 }
 
+TEST(Advise, BaselineSpeedupEqualsPredictBitForBit) {
+  // advise() prices the baseline through its memo; advise_configurations()
+  // alone calls predict(). Both must give predict()'s double exactly, with
+  // the memory model on, a burden table, and a target outside the grid.
+  tree::ProgramTree t = figure5_tree();
+  t.root->children()[0]->set_burden(6, 1.3);
+  AdviseOptions ao;
+  ao.base = zero_overheads();
+  ao.base.memory_model = true;
+  ao.grid.thread_counts = {2, 4, 8};
+  ao.target_threads = 6;
+  PredictOptions o = ao.base;
+  o.method = Method::Synthesizer;
+  const double expected = predict(t, 6, o).speedup;
+
+  const Advice adv = advise(t, ao);
+  EXPECT_EQ(adv.baseline.speedup, expected);
+  EXPECT_EQ(adv.baseline.efficiency, expected / 6.0);
+  for (const Action& a : adv.actions) EXPECT_EQ(a.speedup_before, expected);
+  const Advice configs = advise_configurations(t, ao);
+  EXPECT_EQ(configs.baseline.speedup, expected);
+  EXPECT_EQ(configs.baseline.efficiency, expected / 6.0);
+}
+
 TEST(Advise, TopActionsAreSoundOnTheFigure5Golden) {
   const tree::ProgramTree t = figure5_tree();
   AdviseOptions ao;

@@ -238,6 +238,40 @@ TEST(Sweep, BurdenedSynthesizerCellsMatchSequential) {
   EXPECT_TRUE(differs);
 }
 
+// With β = 1 the memory model changes nothing, so a (cell × section) pair
+// with the model on shares the memo entry of its model-off twin. Every cell
+// still equals predict() bit for bit, and the evals are exactly the model-off
+// points plus the model-on points whose section has β ≠ 1.
+TEST(Sweep, UnitBurdenFoldsMemoryModelTwins) {
+  ProgramTree t = fixture_tree();
+  ASSERT_EQ(t.root->children()[1]->name(), "outer");
+  ASSERT_EQ(t.root->children()[3]->name(), "tail");
+  tree::Node& outer = *t.root->children()[1];
+  tree::Node& tail = *t.root->children()[3];
+  outer.set_burden(2, 1.0);  // explicit 1.0
+  outer.set_burden(4, 1.25);
+  // outer has no entry at 8: β = 1
+  tail.set_burden(2, 1.5);
+  tail.set_burden(4, 1.0);
+  tail.set_burden(8, 1.0);
+
+  SweepGrid grid;
+  grid.methods = {Method::Synthesizer, Method::FastForward};
+  grid.memory_models = {false, true};
+  grid.thread_counts = {2, 4, 8};
+  grid.base = base_options();
+  for (const std::size_t workers : {1, 3}) {
+    SweepOptions sopts;
+    sopts.workers = workers;
+    const SweepResult res = sweep(t, grid, sopts);
+    expect_cells_match_sequential(t, grid, res);
+    // Per method: 3 model-off evals per section, plus outer at 4 and tail
+    // at 2 with the model on.
+    EXPECT_EQ(res.stats.section_lookups, 2u * 2u * 3u * 2u);
+    EXPECT_EQ(res.stats.section_evals, 2u * (3u + 1u + 3u + 1u));
+  }
+}
+
 TEST(Sweep, EmptyPointListYieldsEmptyResult) {
   const ProgramTree t = fixture_tree();
   const SweepResult res =

@@ -2,10 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "machine/bodies.hpp"
+#include "machine/timeline.hpp"
 #include "obs/metrics.hpp"
+#include "util/rng.hpp"
 
 namespace pprophet::machine {
 namespace {
@@ -585,18 +588,276 @@ TEST(Machine, RearmAndDilationCounters) {
 }
 
 TEST(OpQueue, FifoRewindsWhenDrainedAndRejectsOverflow) {
+  // Exec ops with a memory part never coalesce, so each takes a slot.
   OpQueue q;
   EXPECT_TRUE(q.empty());
-  for (Cycles c = 1; c <= OpQueue::kCapacity; ++c) q.push(Op::exec(c));
-  EXPECT_THROW(q.push(Op::exec(99)), std::logic_error);
+  for (Cycles c = 1; c <= OpQueue::kCapacity; ++c) q.push(Op::exec(c, 1));
+  EXPECT_THROW(q.push(Op::exec(99, 1)), std::logic_error);
   for (Cycles c = 1; c <= OpQueue::kCapacity; ++c) {
     ASSERT_FALSE(q.empty());
     EXPECT_EQ(q.pop().compute, c);
   }
   EXPECT_TRUE(q.empty());
   // Drained: the full capacity is available again.
-  for (Cycles c = 1; c <= OpQueue::kCapacity; ++c) q.push(Op::exec(10 * c));
+  for (Cycles c = 1; c <= OpQueue::kCapacity; ++c) {
+    q.push(Op::exec(10 * c, 1));
+  }
   EXPECT_EQ(q.pop().compute, 10u);
+}
+
+TEST(OpQueue, CoalescesAdjacentPureComputeExecs) {
+  const auto expect_exec = [](const Op& op, Cycles compute, Cycles mem,
+                              double traffic) {
+    EXPECT_EQ(op.kind, Op::Kind::Exec);
+    EXPECT_EQ(op.compute, compute);
+    EXPECT_EQ(op.mem, mem);
+    EXPECT_EQ(op.traffic_mbps, traffic);
+  };
+  {
+    // Only a compute-only Exec behind a compute-only Exec merges; a control
+    // op, a memory part or traffic on either side keeps ops apart.
+    OpQueue q;
+    q.push(Op::exec(5));
+    q.push(Op::exec(7));  // merges: 12
+    q.push(Op::acquire(1));
+    q.push(Op::exec(3));  // behind a control op
+    q.push(Op::exec(4, 2));  // has a memory part
+    q.push(Op::exec(6));  // behind an op with a memory part
+    q.push(Op::exec(0));  // merges into the 6
+    q.push(Op::exec(1, 0, 10.0));  // has traffic
+    EXPECT_THROW(q.push(Op::release(1)), std::logic_error);  // 6 slots used
+    expect_exec(q.pop(), 12, 0, 0.0);
+    EXPECT_EQ(q.pop().kind, Op::Kind::Acquire);
+    expect_exec(q.pop(), 3, 0, 0.0);
+    expect_exec(q.pop(), 4, 2, 0.0);
+    expect_exec(q.pop(), 6, 0, 0.0);
+    expect_exec(q.pop(), 1, 0, 10.0);
+    EXPECT_TRUE(q.empty());
+  }
+  {
+    // Nothing merges into an op that was already popped.
+    OpQueue q;
+    q.push(Op::exec(5));
+    expect_exec(q.pop(), 5, 0, 0.0);
+    q.push(Op::exec(7));
+    expect_exec(q.pop(), 7, 0, 0.0);
+    q.push(Op::exec(1, 1));
+    q.push(Op::exec(2));
+    expect_exec(q.pop(), 1, 1, 0.0);
+    q.push(Op::exec(3));  // the queued 2 is still the tail
+    expect_exec(q.pop(), 5, 0, 0.0);
+    EXPECT_TRUE(q.empty());
+  }
+  {
+    // Parts whose sum would reach the machine's Exec limit stay separate.
+    OpQueue q;
+    q.push(Op::exec(kMaxOpCycles - 1));
+    q.push(Op::exec(1));
+    expect_exec(q.pop(), kMaxOpCycles - 1, 0, 0.0);
+    expect_exec(q.pop(), 1, 0, 0.0);
+    q.push(Op::exec(kMaxOpCycles - 2));
+    q.push(Op::exec(1));
+    expect_exec(q.pop(), kMaxOpCycles - 1, 0, 0.0);
+    EXPECT_TRUE(q.empty());
+  }
+}
+
+// One thread's program as segments, rendered either with every compute run
+// split into back-to-back compute-only Execs (what a body queues) or with
+// each run merged into one Exec (what OpQueue hands the machine).
+struct Segment {
+  enum class Kind : std::uint8_t { Compute, Memory, Locked } kind;
+  std::vector<Cycles> parts;  ///< Compute: the run; Locked: the held run
+  Cycles mem = 0;             ///< Memory
+  double traffic = 0.0;       ///< Memory
+};
+
+std::vector<Op> render(const std::vector<Segment>& plan, bool split) {
+  std::vector<Op> ops;
+  const auto run = [&](const std::vector<Cycles>& parts) {
+    if (split) {
+      for (const Cycles c : parts) ops.push_back(Op::exec(c));
+    } else {
+      Cycles sum = 0;
+      for (const Cycles c : parts) sum += c;
+      ops.push_back(Op::exec(sum));
+    }
+  };
+  for (const Segment& seg : plan) {
+    switch (seg.kind) {
+      case Segment::Kind::Compute:
+        run(seg.parts);
+        break;
+      case Segment::Kind::Memory:
+        ops.push_back(Op::exec(0, seg.mem, seg.traffic));
+        break;
+      case Segment::Kind::Locked:
+        ops.push_back(Op::acquire(1));
+        run(seg.parts);
+        ops.push_back(Op::release(1));
+        break;
+    }
+  }
+  return ops;
+}
+
+struct RunOutcome {
+  MachineStats stats;
+  std::vector<TimelineSpan> spans;
+};
+
+RunOutcome run_plans(const MachineConfig& c,
+                     const std::vector<std::vector<Segment>>& plans,
+                     bool split) {
+  Machine m(c);
+  Timeline tl;
+  m.set_timeline(&tl);
+  for (const auto& plan : plans) {
+    m.spawn_thread(std::make_unique<ScriptBody>(render(plan, split)));
+  }
+  RunOutcome out;
+  out.stats = m.run();
+  out.spans = tl.spans();
+  return out;
+}
+
+TEST(Machine, CoalescedComputeOpsMatchSplitOnes) {
+  // Oversubscribed cores, a 200-cycle quantum and 50-cycle-aligned compute
+  // parts, so quantum checks keep landing exactly on the boundary between
+  // two split parts; memory ops with traffic change the dilation while
+  // compute runs are in flight, and a lock is handed over between threads.
+  std::uint64_t events_split = 0;
+  std::uint64_t events_merged = 0;
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    util::Xoshiro256 rng(seed);
+    MachineConfig c = cfg(static_cast<CoreCount>(rng.uniform_u64(1, 4)),
+                          /*quantum=*/200, /*ctx=*/rng.uniform_u64(0, 2) * 25);
+    c.bandwidth.saturation_mbps = 4000;
+    c.bandwidth.log_alpha = 0.5;
+    std::vector<std::vector<Segment>> plans(rng.uniform_u64(2, 7));
+    for (auto& plan : plans) {
+      const int segments = static_cast<int>(rng.uniform_u64(1, 6));
+      for (int i = 0; i < segments; ++i) {
+        Segment seg;
+        const std::uint64_t pick = rng.uniform_u64(0, 5);
+        if (pick == 0) {
+          seg.kind = Segment::Kind::Memory;
+          seg.mem = 50 * rng.uniform_u64(1, 8);
+          seg.traffic = 1000.0 * static_cast<double>(rng.uniform_u64(1, 4));
+        } else {
+          seg.kind = pick == 1 ? Segment::Kind::Locked
+                               : Segment::Kind::Compute;
+          const int parts = static_cast<int>(rng.uniform_u64(2, 4));
+          for (int k = 0; k < parts; ++k) {
+            seg.parts.push_back(50 * rng.uniform_u64(0, 6));
+          }
+        }
+        plan.push_back(seg);
+      }
+    }
+    const RunOutcome a = run_plans(c, plans, /*split=*/true);
+    const RunOutcome b = run_plans(c, plans, /*split=*/false);
+    const MachineStats& x = a.stats;
+    const MachineStats& y = b.stats;
+    EXPECT_EQ(x.finish_time, y.finish_time) << "seed " << seed;
+    EXPECT_EQ(x.context_switches, y.context_switches) << "seed " << seed;
+    EXPECT_EQ(x.preemptions, y.preemptions) << "seed " << seed;
+    EXPECT_EQ(x.lock_acquisitions, y.lock_acquisitions) << "seed " << seed;
+    EXPECT_EQ(x.lock_contentions, y.lock_contentions) << "seed " << seed;
+    EXPECT_EQ(x.total_busy, y.total_busy) << "seed " << seed;
+    EXPECT_EQ(x.total_lock_wait, y.total_lock_wait) << "seed " << seed;
+    EXPECT_EQ(x.spawned_threads, y.spawned_threads) << "seed " << seed;
+    EXPECT_EQ(x.dilation_changes, y.dilation_changes) << "seed " << seed;
+    ASSERT_EQ(a.spans.size(), b.spans.size()) << "seed " << seed;
+    for (std::size_t i = 0; i < a.spans.size(); ++i) {
+      EXPECT_EQ(a.spans[i].thread, b.spans[i].thread) << "seed " << seed;
+      EXPECT_EQ(a.spans[i].begin, b.spans[i].begin) << "seed " << seed;
+      EXPECT_EQ(a.spans[i].end, b.spans[i].end) << "seed " << seed;
+      EXPECT_EQ(a.spans[i].kind, b.spans[i].kind) << "seed " << seed;
+    }
+    events_split += x.events;
+    events_merged += y.events;
+  }
+  EXPECT_LT(events_merged, events_split);
+}
+
+TEST(Machine, QuantumCheckOnASplitBoundaryMatchesTheMergedOp) {
+  // One core, quantum 100, context switch 10: the check that preempts T0
+  // falls due at 100, exactly where its first part ends. Split or merged,
+  // T0 has 50 cycles left when it is preempted, and both runs end at 570.
+  for (const bool split : {true, false}) {
+    Machine m(cfg(1, /*quantum=*/100, /*ctx=*/10));
+    m.spawn_thread(std::make_unique<ScriptBody>(
+        split ? std::vector<Op>{Op::exec(100), Op::exec(50)}
+              : std::vector<Op>{Op::exec(150)}));
+    m.spawn_thread(
+        std::make_unique<ScriptBody>(std::vector<Op>{Op::exec(400)}));
+    const MachineStats s = m.run();
+    EXPECT_EQ(s.finish_time, 570u) << "split " << split;
+    EXPECT_EQ(s.preemptions, 2u) << "split " << split;
+    EXPECT_EQ(s.context_switches, 2u) << "split " << split;
+  }
+}
+
+TEST(Machine, MoreThan64CoresDispatchToTheLowestIdleCore) {
+  // 70 cores, 75 threads. The main thread (core 0) and 69 fillers (filler
+  // c on core c) start at 0. Some fillers end early, so idle cores appear
+  // on both sides of the 64-core word boundary; the main thread then spawns
+  // one child every 100 cycles from 500 to 900, and each child takes the
+  // lowest idle core at that instant:
+  //   idle {64, 69} -> 64;  {3, 69} -> 3;  {10, 69} -> 10;
+  //   {65, 69} -> 65;  {2, 69} -> 2.
+  // Every child ends at 2000, and same-cycle completions are handled by
+  // core index, so the children's run spans are recorded in core order.
+  constexpr CoreCount kCores = 70;
+  Machine m(cfg(kCores, /*quantum=*/1'000'000));
+  Timeline tl;
+  m.set_timeline(&tl);
+  m.spawn_thread(std::make_unique<FuncBody>(
+      [phase = 0](Machine& mm, ThreadId) mutable -> std::optional<Op> {
+        if (phase == 0) {
+          ++phase;
+          return Op::exec(500);
+        }
+        if (phase > 5) return std::nullopt;
+        const Cycles now = mm.now();
+        mm.spawn_thread(std::make_unique<ScriptBody>(
+            std::vector<Op>{Op::exec(2000 - now)}));
+        ++phase;
+        return phase > 5 ? std::nullopt : std::optional<Op>(Op::exec(100));
+      }));
+  for (std::uint32_t c = 1; c < kCores; ++c) {
+    Cycles len = 5000;
+    switch (c) {
+      case 69: len = 300; break;
+      case 64: len = 400; break;
+      case 3: len = 550; break;
+      case 10: len = 650; break;
+      case 65: len = 750; break;
+      case 2: len = 850; break;
+      default: break;
+    }
+    m.spawn_thread(std::make_unique<ScriptBody>(std::vector<Op>{Op::exec(len)}));
+  }
+  const MachineStats s = m.run();
+  EXPECT_EQ(s.finish_time, 5000u);
+  EXPECT_EQ(s.spawned_threads, 75u);
+  EXPECT_EQ(s.preemptions, 0u);
+
+  // Children are threads 70-74 in spawn order; at 2000 they end on cores
+  // 2, 3, 10, 64 and 65.
+  std::vector<std::uint32_t> at_2000;
+  std::vector<std::uint32_t> at_5000;
+  for (const TimelineSpan& span : tl.spans()) {
+    if (span.end == 2000) at_2000.push_back(span.thread);
+    if (span.end == 5000) at_5000.push_back(span.thread);
+  }
+  EXPECT_EQ(at_2000, (std::vector<std::uint32_t>{74, 71, 72, 70, 73}));
+  // The long fillers end together, handled in core (= thread) order.
+  ASSERT_EQ(at_5000.size(), 63u);
+  EXPECT_TRUE(std::is_sorted(at_5000.begin(), at_5000.end()));
+  EXPECT_EQ(at_5000.front(), 1u);
+  EXPECT_EQ(at_5000.back(), 68u);
 }
 
 TEST(Machine, ThreadsSpawnedInsideNextSurviveStorageGrowth) {

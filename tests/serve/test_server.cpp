@@ -234,6 +234,44 @@ TEST_F(ServerTest, ErrorPaths) {
   server.stop();
 }
 
+// Core and thread counts above kMaxCoreCount are refused, never narrowed:
+// 2^32 + 2 would otherwise become 2. Every value here is rejected while the
+// request is parsed, so no machine runs.
+TEST_F(ServerTest, RejectsCoreAndThreadCountsAboveTheBound) {
+  Server server(base_config("bounds"));
+  server.start();
+  Client c;
+  c.connect(server.config().socket_path);
+  const std::string key = c.upload(sample_pptb());
+  const std::uint64_t too_big[] = {std::uint64_t{kMaxCoreCount} + 1,
+                                   (std::uint64_t{1} << 32) + 2};
+  for (const char* op : {"predict", "sweep", "recommend", "advise"}) {
+    for (const std::uint64_t n : too_big) {
+      JsonValue cores;
+      cores.set("op", JsonValue(op));
+      cores.set("key", JsonValue(key));
+      cores.set("cores", JsonValue(n));
+      EXPECT_EQ(c.call(cores).at("error").as_string(), kErrBadRequest)
+          << op << " cores=" << n;
+      JsonValue threads;
+      threads.set("op", JsonValue(op));
+      threads.set("key", JsonValue(key));
+      threads.set("threads", JsonValue(JsonValue::Array{JsonValue(n)}));
+      EXPECT_EQ(c.call(threads).at("error").as_string(), kErrBadRequest)
+          << op << " threads=" << n;
+    }
+  }
+  for (const std::uint64_t n : too_big) {
+    JsonValue target;
+    target.set("op", JsonValue("advise"));
+    target.set("key", JsonValue(key));
+    target.set("target_threads", JsonValue(n));
+    EXPECT_EQ(c.call(target).at("error").as_string(), kErrBadRequest)
+        << "target_threads=" << n;
+  }
+  server.stop();
+}
+
 // The acceptance-criteria test: the same sweep from 8 concurrent clients is
 // bit-identical to core::sweep run in-process on the identical tree, and a
 // repeat round is served from the result cache.
